@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 from bchcover.cli import main
 
 
@@ -104,6 +108,31 @@ def test_radius_jobs_do_not_change_output(capsys):
     baseline = run(capsys, "radius", "--n", "17", "--delta", "3")
     for jobs in ("2", "5"):
         assert run(capsys, "radius", "--n", "17", "--delta", "3", "--jobs", jobs) == baseline
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_radius_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = run(capsys, "radius", "--n", "15", "--delta", "5", "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert err.startswith("bchcover: error:") and "jobs" in err
+
+
+# Full `bchcover radius` stdout recorded with the earlier uint8 first-seen-table
+# engine, an independent implementation; the search must reproduce it byte for byte.
+EXPECTED = Path(__file__).parent / "expected"
+PINNED = [(31, 11, 5), (63, 7, 3), (31, 15, 9)]  # n, delta, a weight cap below R
+
+
+@pytest.mark.parametrize("n,delta,cap", PINNED)
+def test_radius_output_pinned_across_jobs_and_resume(capsys, tmp_path, n, delta, cap):
+    expected = (EXPECTED / f"radius_n{n}_delta{delta}.txt").read_text()
+    argv = ["radius", "--n", str(n), "--delta", str(delta)]
+    for jobs in ("1", "2", "5"):
+        assert run(capsys, *argv, "--jobs", jobs) == (0, expected, "")
+    ckpt = str(tmp_path / "r.npz")
+    code, out, err = run(capsys, *argv, "--jobs", "2", "--checkpoint", ckpt, "--weight-cap", str(cap))
+    assert code == 1 and out == "" and f"R > {cap}" in err
+    assert run(capsys, *argv, "--checkpoint", ckpt) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from bchcover.bch import build_bch
@@ -104,6 +106,48 @@ def test_counts_match_brute_force_leader_weights():
     assert list(result.coset_count_by_weight) == expected
 
 
+def _brute_force_leader_profile(code: LinearCode) -> tuple[tuple[int, ...], int]:
+    """(coset counts by leader weight, smallest syndrome of leader weight R),
+    from the syndromes of all 2^n words computed with the parity-check rows."""
+    words = np.arange(1 << code.n, dtype=np.int64)
+    syndromes = np.zeros_like(words)
+    for j, h in enumerate(code.parity_rows):
+        syndromes |= (np.bitwise_count(words & h).astype(np.int64) & 1) << j
+    leaders = np.full(1 << (code.n - code.k), code.n + 1, dtype=np.int64)
+    np.minimum.at(leaders, syndromes, np.bitwise_count(words).astype(np.int64))
+    counts = np.bincount(leaders)
+    radius = len(counts) - 1
+    return tuple(int(c) for c in counts), int(np.flatnonzero(leaders == radius)[0])
+
+
+def _leader_cases():
+    """Codes with n - k in {0, 1, 3, 5, 6, 7, 8, 10}: both sides of the 64-bit word."""
+    rng = random.Random(7)
+    cases = [
+        ("whole5-5", from_generator_poly(BinaryPolynomial(1), 5)),
+        ("bch7-4", build_bch(7, 3)[0]),
+        ("bch7-1", build_bch(7, 7)[0]),
+        ("bch15-7", build_bch(15, 5)[0]),
+        ("bch17-9", build_bch(17, 3)[0]),
+        ("bch15-5", build_bch(15, 7)[0]),
+    ]
+    for n in (2, 4, 6, 7, 8, 9, 11):
+        cases.append((f"repetition{n}-1", LinearCode([(1 << n) - 1], n)))
+    for n, k in ((6, 6), (8, 7), (10, 7), (12, 7), (12, 6), (13, 6), (14, 6), (14, 4)):
+        cases.append((f"random{n}-{k}", random_code(rng, n, k)))
+    return [pytest.param(code, id=label) for label, code in cases]
+
+
+@pytest.mark.parametrize("code", _leader_cases())
+def test_engine_matches_brute_force_across_word_boundary(code):
+    counts, deepest = _brute_force_leader_profile(code)
+    for jobs in (1, 3):
+        result = covering_radius(code, jobs=jobs)
+        assert result.coset_count_by_weight == counts
+        assert result.covering_radius == len(counts) - 1
+        assert result.deepest_syndrome == Word(deepest, code.n - code.k)
+
+
 def test_radius_at_least_packing_radius():
     for n, delta in [(7, 3), (15, 5), (23, 5)]:
         code = bch_code(n, delta)
@@ -199,8 +243,76 @@ def test_checkpoint_detects_corruption(tmp_path):
     raw = bytearray(open(path, "rb").read())
     raw[len(raw) // 2] ^= 0xFF
     open(path, "wb").write(bytes(raw))
-    with pytest.raises((ValueError, Exception)):
+    with pytest.raises(ValueError, match="checkpoint"):
         covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
+
+
+def _capped_checkpoint(tmp_path, n=31, delta=11, cap=3):
+    path = str(tmp_path / "radius.npz")
+    with pytest.raises(WeightCapExceeded):
+        covering_radius(build_bch(n, delta)[0], weight_cap=cap, checkpoint_path=path)
+    return path
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    path = _capped_checkpoint(tmp_path)
+    raw = open(path, "rb").read()
+    for size in (0, 10, len(raw) // 2, len(raw) - 1):
+        open(path, "wb").write(raw[:size])
+        with pytest.raises(ValueError, match=re.escape(path)):
+            covering_radius(build_bch(31, 11)[0], checkpoint_path=path)
+
+
+def test_checkpoint_rejects_tampered_counts(tmp_path):
+    path = _capped_checkpoint(tmp_path)
+    with np.load(path) as data:
+        fields = {name: data[name] for name in data.files}
+    fields["counts"] = fields["counts"].copy()
+    fields["counts"][-1] -= 1
+    np.savez(path, **fields)
+    with pytest.raises(ValueError, match="digest"):
+        covering_radius(build_bch(31, 11)[0], checkpoint_path=path)
+
+
+def test_checkpoint_rejects_old_table_format(tmp_path):
+    path = str(tmp_path / "radius.npz")
+    np.savez_compressed(
+        path,
+        table=np.zeros(1 << 8, dtype=np.uint8),
+        counts=np.array([1], dtype=np.int64),
+        weight=np.int64(0),
+        code_key=np.bytes_(b"0" * 64),
+        digest=np.bytes_(b"0" * 64),
+    )
+    with pytest.raises(ValueError, match="old uint8-table format"):
+        covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
+
+
+def test_checkpoint_rejects_foreign_file(tmp_path):
+    path = str(tmp_path / "radius.npz")
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(4))  # a plain .npy array under an .npz name
+    with pytest.raises(ValueError, match=re.escape(path)):
+        covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
+    open(path, "w").write("not a checkpoint")
+    with pytest.raises(ValueError, match=re.escape(path)):
+        covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
+
+
+def test_checkpoint_holds_bitsets_not_a_table(tmp_path):
+    path = _capped_checkpoint(tmp_path)
+    with np.load(path) as data:
+        assert "table" not in data.files
+        assert int(data["version"]) >= 2
+        assert data["reached"].dtype == np.uint64 and data["reached"].shape == (1 << (20 - 6),)
+        assert int(np.bitwise_count(data["reached"]).sum()) == sum(int(c) for c in data["counts"])
+        assert int(np.bitwise_count(data["frontier"]).sum()) == int(data["counts"][-1])
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_must_be_positive(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        covering_radius(build_bch(15, 5)[0], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,37 @@ suffices to find the low-weight patterns whose syndrome matches v's. The
 generator matrix is never consulted, which keeps these routines independent
 of brute-force codeword enumeration (the usual cross-check oracle).
 
-Two interchangeable strategies produce identical results:
+Codes of length n <= 40 are decoded by one meet-in-the-middle engine
+(``split``). The coordinates are cut into a left half of nl = n // 2 and a
+right half of nr = n - nl, and the syndrome of every pattern on each half
+is stored: the left ordered by weight, the right by (weight, syndrome), so
+every weight class is one contiguous slice and every right class is
+sorted. A pattern of weight a + b with syndrome s is a left part of weight
+a and a right part of weight b whose syndromes XOR to s, so joining a left
+slice (XORed with s) against right class b with ``searchsorted`` finds
+exactly those patterns:
 
-  scan   -- enumerate patterns of weight 0..tau in revolving-door order,
-            carrying the syndrome along with two column XORs per step.
-            Cost sum_w C(n, w), independent of k; right for small tau.
-  split  -- meet in the middle: precompute the syndromes of all patterns on
-            the left and right halves of the coordinates, sort the right
-            half, then join. A query costs about 2^(n/2) plus the matches,
-            which makes thousands of queries on one code cheap. The index
-            is built lazily and cached on the code.
+  list_decode(tau)  for each b <= tau, joins the left patterns of weight
+                    <= tau - b against class b; every hit is within tau.
+  ml_decode(cap)    for w = 0, 1, ..., cap, joins the classes (a, w - a)
+                    and stops at the first w with a hit, which never
+                    exceeds the covering radius.
+
+The index (2^nl + 2^nr entries) is built by the first query on a code and
+kept in a weak cache keyed by the code, so it lives as long as the code.
+
+Longer codes are decoded by ``scan``: patterns of weight 0..tau in
+revolving-door order, carrying the syndrome along with two column XORs per
+step, at a cost of sum_w C(n, w). Scan is also the independent reference
+that split is checked against. ``strategy="scan"`` or ``"split"`` forces
+an engine, and ``DecodeResult.strategy`` reports the one that ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -28,9 +44,7 @@ import numpy as np
 from .linear_code import LinearCode, Word
 from .radius import revolving_door
 
-_SCAN_LIMIT = 8192      # max pattern count before "auto" switches to split
 _SPLIT_MAX_N = 40       # half-tables of at most 2^20 entries
-_SPLIT_ML_MAX_K = 22    # ml via split materializes the whole coset (2^k)
 
 
 @dataclass(frozen=True)
@@ -39,12 +53,15 @@ class DecodeResult:
 
     Entries are sorted by (distance, codeword text) and contain no
     duplicates; ``exhausted`` is True iff every pattern up to
-    ``radius_used`` was considered.
+    ``radius_used`` was considered. ``strategy`` names the engine that
+    ran ("scan" or "split"); it is left out of equality, so results of
+    the two engines compare by their answers.
     """
 
     entries: tuple[tuple[Word, int], ...]
     radius_used: int
     exhausted: bool
+    strategy: str = field(compare=False)
 
     @property
     def codewords(self) -> tuple[Word, ...]:
@@ -60,17 +77,17 @@ def _check_word(code: LinearCode, v: Word) -> None:
         raise ValueError(f"word length {v.n} does not match code length {code.n}")
 
 
-def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int) -> DecodeResult:
+def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int, strategy: str) -> DecodeResult:
     entries = []
     for mask in masks:
         cw = Word(v_bits ^ mask, code.n)
         entries.append((cw, mask.bit_count()))
     entries.sort(key=lambda e: (e[1], str(e[0])))
-    return DecodeResult(entries=tuple(entries), radius_used=radius_used, exhausted=True)
+    return DecodeResult(entries=tuple(entries), radius_used=radius_used, exhausted=True, strategy=strategy)
 
 
 # ----------------------------------------------------------------------
-# scan strategy
+# scan engine
 # ----------------------------------------------------------------------
 
 def _scan_matches(code: LinearCode, target: int, tau: int, stop_at_first_weight: bool) -> list[int]:
@@ -97,91 +114,106 @@ def _scan_matches(code: LinearCode, target: int, tau: int, stop_at_first_weight:
 
 
 # ----------------------------------------------------------------------
-# split (meet-in-the-middle) strategy
+# split (meet-in-the-middle) engine
 # ----------------------------------------------------------------------
 
-class _SplitIndex:
-    """Syndromes of all patterns on each half of the coordinates.
+_EMPTY = np.empty(0, dtype=np.uint64)
 
-    The right half is sorted by syndrome; a query XORs the target into
-    every left syndrome and joins against the sorted right side.
+
+def _doubling(cols: tuple[int, ...], bits: int) -> np.ndarray:
+    """Syndromes of all 2^bits patterns on the given columns, indexed by mask."""
+    synd = np.zeros(1 << bits, dtype=np.uint64)
+    for i in range(bits):
+        synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint64(cols[i])
+    return synd
+
+
+def _class_starts(bits: int) -> list[int]:
+    """Offsets of the weight classes of 2^bits masks ordered by weight; class a is [s[a], s[a+1])."""
+    return list(accumulate((comb(bits, w) for w in range(bits + 1)), initial=0))
+
+
+class _SplitIndex:
+    """Syndromes of all patterns on each half of the coordinates, one slice per weight.
+
+    The left half (coordinates below ``nl``) is ordered by weight; the
+    right half by (weight, syndrome), so each right weight class is a
+    sorted run. A query XORs the target into a slice of left syndromes
+    and joins it against one right class.
     """
 
     def __init__(self, code: LinearCode):
-        n = code.n
-        self.nl = n // 2
-        nr = n - self.nl
+        self.nl = n_left = code.n // 2
+        self.nr = n_right = code.n - n_left
         cols = code.syndrome_columns
-        self.left_synd = self._doubling(cols[: self.nl], self.nl)
-        self.left_weight = np.bitwise_count(np.arange(1 << self.nl, dtype=np.uint64))
-        # left masks ordered by weight, with prefix counts, so a query can
-        # slice exactly the masks of weight <= tau without filtering
-        self.left_by_weight = np.argsort(self.left_weight, kind="stable")
-        self.left_weight_prefix = np.cumsum(np.bincount(self.left_weight, minlength=self.nl + 1))
-        right_synd = self._doubling(cols[self.nl:], nr)
-        self.right_order = np.argsort(right_synd, kind="stable").astype(np.int64)
-        self.right_sorted = right_synd[self.right_order]
-        self.right_weight = np.bitwise_count(self.right_order.view(np.uint64))
+        left_synd = _doubling(cols[:n_left], n_left)
+        right_synd = _doubling(cols[n_left:], n_right)
+        left_weight = np.bitwise_count(np.arange(1 << n_left, dtype=np.uint64))
+        right_weight = np.bitwise_count(np.arange(1 << n_right, dtype=np.uint64))
+        self.left_by_weight = np.argsort(left_weight, kind="stable").astype(np.uint64)
+        self.left_synd = left_synd[self.left_by_weight]
+        self.left_start = _class_starts(n_left)
+        self.right_masks = np.lexsort((right_synd, right_weight)).astype(np.uint64)
+        self.right_synd = right_synd[self.right_masks]
+        self.right_start = _class_starts(n_right)
 
-    @staticmethod
-    def _doubling(cols: tuple[int, ...], bits: int) -> np.ndarray:
-        synd = np.zeros(1 << bits, dtype=np.uint64)
-        for i in range(bits):
-            synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint64(cols[i])
-        return synd
+    def _join(self, need: np.ndarray, left_masks: np.ndarray, b: int) -> np.ndarray:
+        """Patterns l | r << nl for left masks l (sought syndromes ``need``) and right masks r of weight b."""
+        r0 = self.right_start[b]
+        run = self.right_synd[r0: self.right_start[b + 1]]
+        lo = np.searchsorted(run, need)
+        hit = np.flatnonzero(run.take(lo, mode="clip") == need)
+        if hit.size == 0:
+            return _EMPTY
+        lo = lo[hit]
+        lens = np.searchsorted(run, need[hit], side="right") - lo
+        first = np.cumsum(lens) - lens
+        pos = np.repeat(r0 + lo - first, lens) + np.arange(int(first[-1] + lens[-1]))
+        return np.repeat(left_masks[hit], lens) | (self.right_masks[pos] << np.uint64(self.nl))
 
-    def matches(self, target: int, tau: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Error patterns (uint64 masks) and weights for one syndrome.
+    def within(self, target: int, tau: int) -> np.ndarray:
+        """Every pattern of weight <= tau with syndrome ``target``."""
+        start = self.left_start
+        need = self.left_synd[: start[min(tau, self.nl) + 1]] ^ np.uint64(target)
+        found = []
+        for b in range(min(tau, self.nr) + 1):
+            end = start[min(tau - b, self.nl) + 1]
+            found.append(self._join(need[:end], self.left_by_weight[:end], b))
+        return np.concatenate(found)
 
-        ``tau=None`` returns the whole coset.
-        """
-        if tau is None:
-            pool = self.left_by_weight
-        else:
-            pool = self.left_by_weight[: self.left_weight_prefix[min(tau, self.nl)]]
-        need = self.left_synd[pool] ^ np.uint64(target)
-        lo = np.searchsorted(self.right_sorted, need, side="left")
-        hi = np.searchsorted(self.right_sorted, need, side="right")
-        sel = np.flatnonzero(hi > lo)
-        left = pool[sel]
-        lens = (hi - lo)[sel]
-        starts = lo[sel]
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
-        base = np.cumsum(lens) - lens
-        pos = np.repeat(starts - base, lens) + np.arange(total)
-        right_masks = self.right_order[pos]
-        weights = self.left_weight[np.repeat(left, lens)] + self.right_weight[pos]
-        masks = np.repeat(left, lens).astype(np.uint64) | (right_masks.astype(np.uint64) << np.uint64(self.nl))
-        if tau is not None:
-            keep = weights <= tau
-            masks, weights = masks[keep], weights[keep]
-        return masks, weights
+    def nearest(self, target: int, cap: int) -> np.ndarray:
+        """The patterns of least weight w <= cap with syndrome ``target``; empty if w > cap."""
+        start = self.left_start
+        need = self.left_synd[: start[min(cap, self.nl) + 1]] ^ np.uint64(target)
+        for w in range(cap + 1):
+            found = [
+                self._join(need[start[a]: start[a + 1]], self.left_by_weight[start[a]: start[a + 1]], w - a)
+                for a in range(max(0, w - self.nr), min(w, self.nl) + 1)
+            ]
+            masks = np.concatenate(found)
+            if masks.size:
+                return masks
+        return _EMPTY
+
+
+_split_indexes: weakref.WeakKeyDictionary[LinearCode, _SplitIndex] = weakref.WeakKeyDictionary()
 
 
 def _split_index(code: LinearCode) -> _SplitIndex:
-    index = getattr(code, "_split_index", None)
+    index = _split_indexes.get(code)
     if index is None:
-        index = _SplitIndex(code)
-        code._split_index = index  # type: ignore[attr-defined]
+        index = _split_indexes[code] = _SplitIndex(code)
     return index
 
 
-def _scan_cost(n: int, tau: int) -> int:
-    return sum(comb(n, w) for w in range(min(tau, n) + 1))
-
-
-def _pick_strategy(code: LinearCode, tau: int, strategy: str) -> str:
+def _pick_strategy(code: LinearCode, strategy: str) -> str:
     if strategy not in ("auto", "scan", "split"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy != "auto":
-        if strategy == "split" and code.n > _SPLIT_MAX_N:
-            raise ValueError(f"split index too large for n = {code.n} (max {_SPLIT_MAX_N})")
-        return strategy
-    if _scan_cost(code.n, tau) <= _SCAN_LIMIT or code.n > _SPLIT_MAX_N:
-        return "scan"
-    return "split"
+    if strategy == "auto":
+        return "split" if code.n <= _SPLIT_MAX_N else "scan"
+    if strategy == "split" and code.n > _SPLIT_MAX_N:
+        raise ValueError(f"split index too large for n = {code.n} (max {_SPLIT_MAX_N})")
+    return strategy
 
 
 # ----------------------------------------------------------------------
@@ -193,13 +225,13 @@ def list_decode(code: LinearCode, v: Word, tau: int, strategy: str = "auto") -> 
     _check_word(code, v)
     if not 0 <= tau <= code.n:
         raise ValueError(f"need 0 <= tau <= n, got tau={tau}")
+    strategy = _pick_strategy(code, strategy)
     target = code.syndrome_int(v.bits)
-    if _pick_strategy(code, tau, strategy) == "scan":
+    if strategy == "scan":
         masks = _scan_matches(code, target, tau, stop_at_first_weight=False)
     else:
-        found, _ = _split_index(code).matches(target, tau)
-        masks = [int(m) for m in found]
-    return _result(code, v.bits, masks, tau)
+        masks = _split_index(code).within(target, tau).tolist()
+    return _result(code, v.bits, masks, tau, strategy)
 
 
 def ml_decode(
@@ -210,38 +242,22 @@ def ml_decode(
 ) -> DecodeResult:
     """All codewords at minimum distance from v (maximum likelihood).
 
-    Searches strata of increasing weight and stops at the first hit; the
-    stop weight never exceeds the covering radius, so the default cap
-    (covering radius if known, else n) always terminates with a result.
+    Searches weights 0, 1, ... and stops at the first weight with a hit;
+    that weight never exceeds the covering radius, so the default cap n
+    always ends with a result. If every codeword is farther than
+    ``weight_cap``, the result is empty with ``radius_used == weight_cap``.
     """
     _check_word(code, v)
-    if weight_cap is not None:
-        cap = weight_cap
-    elif code.covering_radius is not None:
-        cap = code.covering_radius
-    else:
-        cap = code.n
+    cap = code.n if weight_cap is None else weight_cap
+    if not 0 <= cap <= code.n:
+        raise ValueError(f"need 0 <= weight_cap <= n, got weight_cap={weight_cap}")
+    strategy = _pick_strategy(code, strategy)
     target = code.syndrome_int(v.bits)
-    if strategy == "auto":
-        strategy = "split" if (
-            code.n <= _SPLIT_MAX_N
-            and code.k <= _SPLIT_ML_MAX_K
-            and _scan_cost(code.n, cap) > _SCAN_LIMIT
-        ) else "scan"
     if strategy == "scan":
         masks = _scan_matches(code, target, cap, stop_at_first_weight=True)
-        radius_used = masks[0].bit_count() if masks else cap
-        return _result(code, v.bits, masks, radius_used)
-    if strategy != "split":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    found, weights = _split_index(code).matches(target, None)
-    if found.size == 0:
-        raise AssertionError("coset empty: parity-check matrix not full rank?")
-    best = int(weights.min())
-    if best > cap:
-        return DecodeResult(entries=(), radius_used=cap, exhausted=True)
-    masks = [int(m) for m in found[weights == best]]
-    return _result(code, v.bits, masks, best)
+    else:
+        masks = _split_index(code).nearest(target, cap).tolist()
+    return _result(code, v.bits, masks, masks[0].bit_count() if masks else cap, strategy)
 
 
 def bounded_decode(code: LinearCode, v: Word, strategy: str = "auto") -> DecodeResult:

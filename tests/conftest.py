@@ -10,9 +10,11 @@ from bchcover import LinearCode, build_bch
 def bch_code(n: int, delta: int) -> LinearCode:
     """Shared, cached code instances.
 
-    The cache means covering-radius / split-index attachments persist across
-    tests; tests that need a pristine code (e.g. the R-unknown policy) must
-    call build_bch directly.
+    The cache means a covering radius stored on a code persists across
+    tests, and so does the code's split decoding index (kept in a weak
+    cache keyed by the code, so it lives as long as the code); tests that
+    need a pristine code (e.g. the R-unknown policy) must call build_bch
+    directly.
     """
     code, _ = build_bch(n, delta)
     return code

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from bchcover.bch import build_bch
 from bchcover.bounds import johnson_binary_floor
 from bchcover.decode import bounded_decode, list_decode, ml_decode
 from bchcover.linear_code import LinearCode, Word, codeword_table
+from bchcover.manifest import TABLE1
 from bchcover.radius import covering_radius
 
-from conftest import bch_code
+from conftest import bch_code, random_code
 
 
 def brute_force_within(code, v: Word, tau: int) -> set[int]:
@@ -120,6 +123,26 @@ def test_list_decode_validation():
         list_decode(build_bch(63, 5)[0], Word(0, 63), 2, strategy="split")
 
 
+def test_list_decode_every_tau_matches_brute_force():
+    # every tau crosses every split of the weight classes: [15,5] has
+    # halves of 7 and 8 coordinates, the random [13,5] halves of 6 and 7;
+    # the [11,4] code has weight-2 codewords inside each half (5 and 6
+    # coordinates), so one weight class holds repeated syndromes
+    rng = random.Random(1315)
+    repeated = LinearCode([0b00000000011, 0b00101000000, 0b10110101100, 0b01011010110], 11)
+    for code in (bch_code(15, 7), random_code(rng, 13, 5), repeated):
+        cw = codeword_table(code, max_k=code.k)
+        words = [rng.randrange(1 << code.n) for _ in range(6)] + [int(cw[1]), int(cw[-1]) ^ 0b101]
+        for bits in words:
+            dist = np.bitwise_count(cw ^ np.uint64(bits))
+            for tau in range(code.n + 1):
+                result = list_decode(code, Word(bits, code.n), tau, strategy="split")
+                keep = dist <= tau
+                expected = dict(zip(cw[keep].tolist(), dist[keep].tolist()))
+                assert {w.bits: d for w, d in result.entries} == expected
+                assert len(result.entries) == len(expected)
+
+
 # ---------------------------------------------------------------------------
 # maximum-likelihood decoding
 # ---------------------------------------------------------------------------
@@ -176,6 +199,84 @@ def test_ml_respects_weight_cap():
     result = ml_decode(code, v, weight_cap=2)
     assert result.entries == ()
     assert result.radius_used == 2 and result.exhausted
+
+
+def test_split_ml_below_leader_weight_is_empty():
+    for n, delta in [(15, 7), (23, 5), (31, 11)]:
+        code = bch_code(n, delta)
+        v = code.coset_representative(covering_radius(code).deepest_syndrome)
+        leader = brute_force_nearest(code, v)
+        for cap in range(leader):
+            result = ml_decode(code, v, weight_cap=cap, strategy="split")
+            assert result.entries == ()
+            assert result.radius_used == cap and result.exhausted
+        result = ml_decode(code, v, weight_cap=leader, strategy="split")
+        assert result.radius_used == leader == result.distances[0]
+        assert {w.bits for w in result.codewords} == brute_force_within(code, v, leader)
+
+
+def test_ml_matches_brute_force_on_every_word_of_an_odd_length_code():
+    code = random_code(random.Random(713), 13, 5)
+    cw = codeword_table(code, max_k=code.k)
+    for bits in range(1 << code.n):
+        dist = np.bitwise_count(cw ^ np.uint64(bits))
+        nearest = int(dist.min())
+        result = ml_decode(code, Word(bits, code.n))
+        assert result.radius_used == nearest == result.distances[0]
+        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+
+
+def test_ml_with_unknown_radius_leaves_the_code_untouched():
+    code, _ = build_bch(23, 5)  # fresh: covering radius never computed
+    assert code.covering_radius is None
+    before = dict(vars(code))
+    cw = codeword_table(code, max_k=code.k)
+    rng = random.Random(2305)
+    for _ in range(100):
+        bits = rng.randrange(1 << 23)
+        dist = np.bitwise_count(cw ^ np.uint64(bits))
+        nearest = int(dist.min())
+        result = ml_decode(code, Word(bits, 23))
+        assert result.radius_used == nearest == result.distances[0]
+        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+    assert vars(code) == before
+
+
+def test_split_index_does_not_keep_the_code_alive():
+    code, _ = build_bch(15, 5)
+    list_decode(code, Word(0, 15), 2, strategy="split")
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("cap", [-2, -1, 16])
+@pytest.mark.parametrize("strategy", ["auto", "scan", "split"])
+def test_ml_weight_cap_validation(cap, strategy):
+    with pytest.raises(ValueError, match="weight_cap"):
+        ml_decode(bch_code(15, 5), Word(0, 15), weight_cap=cap, strategy=strategy)
+
+
+def test_ml_split_refuses_long_codes():
+    code, _ = build_bch(63, 5)
+    with pytest.raises(ValueError, match="split index too large"):
+        ml_decode(code, Word(0, 63), strategy="split")
+
+
+def test_result_reports_strategy():
+    for row in TABLE1:
+        if row.n > 31:
+            continue
+        code = bch_code(row.n, row.delta)
+        v = Word(code.codeword_int(1) ^ 1, row.n)
+        assert ml_decode(code, v).strategy == "split"
+        assert list_decode(code, v, row.tau_binary).strategy == "split"
+        assert ml_decode(code, v, strategy="scan").strategy == "scan"
+    code = bch_code(63, 7)  # [63,45]
+    v = Word(code.codeword_int(1) ^ 1, 63)
+    assert ml_decode(code, v).strategy == "scan"
+    assert list_decode(code, v, 1).strategy == "scan"
 
 
 def test_ml_termination_within_binary_johnson_on_covered_codes():

@@ -24,6 +24,7 @@ from .linear_code import LinearCode, Word, codeword_table, from_generator_poly
 from .manifest import TABLE1, TableRow
 from .radius import (
     RadiusResult,
+    StratumEvent,
     WeightCapExceeded,
     covering_radius,
     covering_radius_oracle,
@@ -43,6 +44,7 @@ __all__ = [
     "LinearCode",
     "PRIMITIVE_POLYS",
     "RadiusResult",
+    "StratumEvent",
     "TABLE1",
     "TableRow",
     "Word",

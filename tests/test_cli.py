@@ -120,7 +120,7 @@ def test_radius_rejects_nonpositive_jobs(capsys, jobs):
 # Full `bchcover radius` stdout recorded with the earlier uint8 first-seen-table
 # engine, an independent implementation; the search must reproduce it byte for byte.
 EXPECTED = Path(__file__).parent / "expected"
-PINNED = [(31, 11, 5), (63, 7, 3), (31, 15, 9)]  # n, delta, a weight cap below R
+PINNED = [(31, 11, 5), (63, 7, 3), (31, 15, 9), (31, 15, 3)]  # n, delta, a weight cap below R
 
 
 @pytest.mark.parametrize("n,delta,cap", PINNED)

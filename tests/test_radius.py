@@ -9,6 +9,7 @@ from bchcover.bch import build_bch
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
 from bchcover.gf2m import BinaryPolynomial
 from bchcover.radius import (
+    StratumEvent,
     WeightCapExceeded,
     covering_radius,
     covering_radius_oracle,
@@ -106,15 +107,22 @@ def test_counts_match_brute_force_leader_weights():
     assert list(result.coset_count_by_weight) == expected
 
 
-def _brute_force_leader_profile(code: LinearCode) -> tuple[tuple[int, ...], int]:
-    """(coset counts by leader weight, smallest syndrome of leader weight R),
-    from the syndromes of all 2^n words computed with the parity-check rows."""
+def _brute_force_leaders(code: LinearCode) -> np.ndarray:
+    """Leader weight of every syndrome, from the syndromes of all 2^n words
+    computed with the parity-check rows."""
     words = np.arange(1 << code.n, dtype=np.int64)
     syndromes = np.zeros_like(words)
     for j, h in enumerate(code.parity_rows):
         syndromes |= (np.bitwise_count(words & h).astype(np.int64) & 1) << j
     leaders = np.full(1 << (code.n - code.k), code.n + 1, dtype=np.int64)
     np.minimum.at(leaders, syndromes, np.bitwise_count(words).astype(np.int64))
+    return leaders
+
+
+def _brute_force_leader_profile(code: LinearCode) -> tuple[tuple[int, ...], int]:
+    """(coset counts by leader weight, smallest syndrome of leader weight R),
+    from the syndromes of all 2^n words computed with the parity-check rows."""
+    leaders = _brute_force_leaders(code)
     counts = np.bincount(leaders)
     radius = len(counts) - 1
     return tuple(int(c) for c in counts), int(np.flatnonzero(leaders == radius)[0])
@@ -146,6 +154,35 @@ def test_engine_matches_brute_force_across_word_boundary(code):
         assert result.coset_count_by_weight == counts
         assert result.covering_radius == len(counts) - 1
         assert result.deepest_syndrome == Word(deepest, code.n - code.k)
+
+
+def _cut_cases():
+    """Codes with n - k in 12..14 whose strata fall on both sides of the sparse/dense cut."""
+    rng = random.Random(11)
+    return [
+        pytest.param(random_code(rng, 20, 6), id="random20-6"),
+        pytest.param(random_code(rng, 21, 8), id="random21-8"),
+    ]
+
+
+@pytest.mark.parametrize("code", _cut_cases())
+def test_sparse_and_dense_strata_match_brute_force(code):
+    nk = code.n - code.k
+    words = 1 << (nk - 6)
+    leaders = _brute_force_leaders(code)
+    counts, deepest = _brute_force_leader_profile(code)
+    assert any(c >> 6 for c in code.syndrome_columns)  # sparse strata move whole words
+    for jobs in (1, 3):
+        events = []
+        result = covering_radius(code, jobs=jobs, on_event=events.append)
+        assert result.coset_count_by_weight == counts
+        assert result.deepest_syndrome == Word(deepest, nk)
+        paths = [e.path for e in events]
+        assert paths.count("sparse") >= 2 and paths.count("dense") >= 1
+        for e in events:
+            # the cut: stratum w is grown sparsely iff stratum w-1 fills at most a quarter of the words
+            occupied = len(np.unique(np.flatnonzero(leaders == e.weight - 1) >> 6))
+            assert e.path == ("sparse" if 4 * occupied <= words else "dense")
 
 
 def test_radius_at_least_packing_radius():
@@ -313,6 +350,64 @@ def test_checkpoint_holds_bitsets_not_a_table(tmp_path):
 def test_jobs_must_be_positive(jobs):
     with pytest.raises(ValueError, match="jobs"):
         covering_radius(build_bch(15, 5)[0], jobs=jobs)
+
+
+def test_weight_cap_below_resumed_checkpoint(tmp_path):
+    path = str(tmp_path / "radius.npz")
+    with pytest.raises(WeightCapExceeded) as info:
+        covering_radius(build_bch(31, 7)[0], weight_cap=4, checkpoint_path=path)
+    assert info.value.counts_so_far == (1, 31, 465, 4495, 13020)
+    for _ in range(2):  # a checkpoint at weight 4, then the completed one at R = 5
+        with pytest.raises(WeightCapExceeded) as info:
+            covering_radius(build_bch(31, 7)[0], weight_cap=2, checkpoint_path=path)
+        err = info.value
+        assert err.weight_cap == 2
+        assert err.counts_so_far == (1, 31, 465)
+        assert err.syndromes_seen == 497
+        assert "R > 2: only 497 of 32768" in str(err)
+        result = covering_radius(build_bch(31, 7)[0], checkpoint_path=path)
+        assert result.coset_count_by_weight == (1, 31, 465, 4495, 13020, 14756)
+
+
+def test_stratum_events(tmp_path):
+    code, _ = build_bch(15, 5)
+    events = []
+    result = covering_radius(code, on_event=events.append)
+    assert [e.weight for e in events] == [1, 2, 3]
+    assert [e.count for e in events] == list(result.coset_count_by_weight[1:])
+    assert [e.cumulative for e in events] == [16, 121, 256]
+    for e in events:
+        assert isinstance(e, StratumEvent)
+        assert e.path in ("sparse", "dense")
+        assert e.seconds >= 0
+        assert e.checkpoint_seconds == 0 and e.checkpoint_bytes == 0
+    with pytest.raises(AttributeError):
+        events[0].weight = 7  # frozen
+
+    path = tmp_path / "radius.npz"
+    with pytest.raises(WeightCapExceeded):
+        covering_radius(code, weight_cap=1, checkpoint_path=str(path), on_event=events.append)
+    assert events[-1].weight == 1 and events[-1].checkpoint_bytes == path.stat().st_size
+    resumed = []
+    covering_radius(code, checkpoint_path=str(path), on_event=resumed.append)
+    assert [e.weight for e in resumed] == [2, 3]  # strata loaded from the file are not reported
+    assert all(e.checkpoint_bytes > 0 and e.checkpoint_seconds > 0 for e in resumed)
+    assert resumed[-1].checkpoint_bytes == path.stat().st_size
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_checkpoint_written_at_a_sparse_stratum_resumes(tmp_path, jobs):
+    path = str(tmp_path / "radius.npz")
+    fresh = covering_radius(build_bch(31, 11)[0])
+    events = []
+    with pytest.raises(WeightCapExceeded):
+        covering_radius(build_bch(31, 11)[0], weight_cap=3, jobs=jobs, checkpoint_path=path,
+                        on_event=events.append)
+    assert [e.path for e in events] == ["sparse"] * 3
+    resumed = []
+    assert covering_radius(build_bch(31, 11)[0], jobs=jobs, checkpoint_path=path,
+                           on_event=resumed.append) == fresh
+    assert resumed[0].weight == 4 and {e.path for e in resumed} == {"sparse", "dense"}
 
 
 # ---------------------------------------------------------------------------

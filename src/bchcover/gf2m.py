@@ -188,9 +188,6 @@ class FieldContext:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.exp_table[(self.order - 1 - self.log_table[a]) % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 0 (0^0 = 1)."""
         if a == 0:
@@ -200,12 +197,6 @@ class FieldContext:
     def alpha_power(self, i: int) -> int:
         """alpha^i for any integer exponent i."""
         return self.exp_table[i % (self.order - 1)]
-
-    def log(self, a: int) -> int:
-        """Discrete log base alpha; rejects zero."""
-        if a == 0:
-            raise ValueError("log of zero is undefined")
-        return self.log_table[a]
 
     def eval_poly(self, p: BinaryPolynomial, x: int) -> int:
         """Evaluate a GF(2) polynomial at a field element x, by Horner."""

@@ -44,10 +44,6 @@ TABLE1: tuple[TableRow, ...] = (
 )
 
 
-def rows_up_to(max_n: int) -> tuple[TableRow, ...]:
-    return tuple(row for row in TABLE1 if row.n <= max_n)
-
-
 def find_row(n: int, delta: int) -> TableRow | None:
     for row in TABLE1:
         if row.n == n and row.delta == delta:

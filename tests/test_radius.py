@@ -8,6 +8,7 @@ import pytest
 from bchcover.bch import build_bch
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
 from bchcover.gf2m import BinaryPolynomial
+from bchcover import radius
 from bchcover.radius import (
     StratumEvent,
     WeightCapExceeded,
@@ -157,7 +158,8 @@ def test_engine_matches_brute_force_across_word_boundary(code):
 
 
 def _cut_cases():
-    """Codes with n - k in 12..14 whose strata fall on both sides of the sparse/dense cut."""
+    """Codes with n - k in 12..14 whose strata fall on both sides of the sparse/dense cut
+    and end in a pull stratum."""
     rng = random.Random(11)
     return [
         pytest.param(random_code(rng, 20, 6), id="random20-6"),
@@ -178,11 +180,63 @@ def test_sparse_and_dense_strata_match_brute_force(code):
         assert result.coset_count_by_weight == counts
         assert result.deepest_syndrome == Word(deepest, nk)
         paths = [e.path for e in events]
-        assert paths.count("sparse") >= 2 and paths.count("dense") >= 1
+        assert paths.count("sparse") >= 2 and paths.count("dense") >= 1 and paths[-1] == "pull"
         for e in events:
-            # the cut: stratum w is grown sparsely iff stratum w-1 fills at most a quarter of the words
-            occupied = len(np.unique(np.flatnonzero(leaders == e.weight - 1) >> 6))
-            assert e.path == ("sparse" if 4 * occupied <= words else "dense")
+            # the cuts: stratum w is pulled iff at most half as many syndromes are unreached
+            # as stratum w-1 holds, else grown sparsely iff stratum w-1 fills at most a
+            # quarter of the words
+            frontier = np.flatnonzero(leaders == e.weight - 1)
+            unreached = int(np.count_nonzero(leaders >= e.weight))
+            occupied = len(np.unique(frontier >> 6))
+            if 2 * unreached <= len(frontier):
+                assert e.path == "pull"
+            else:
+                assert e.path == ("sparse" if 4 * occupied <= words else "dense")
+
+
+def _pull_case() -> LinearCode:
+    """A seeded random [20,6] code whose last two strata are pulled; 8 syndromes
+    of leader weight 8 miss every column in the pull of stratum 7."""
+    return random_code(random.Random(1), 20, 6)
+
+
+@pytest.mark.parametrize("chunk,carry", [(1 << 14, 256), (16, 2), (16, 0)],
+                         ids=["default", "chunks-of-16", "no-carry"])
+def test_pull_stratum_before_the_last_matches_brute_force(monkeypatch, chunk, carry):
+    # Small chunks and carries send the 256 words of this code through the
+    # per-chunk column loop as well as the merged one.
+    monkeypatch.setattr(radius, "_PULL_CHUNK", chunk)
+    monkeypatch.setattr(radius, "_PULL_CARRY", carry)
+    code = _pull_case()
+    leaders = _brute_force_leaders(code)
+    counts, deepest = _brute_force_leader_profile(code)
+    assert len(counts) == 9 and counts[-1] > 0
+    for jobs in (1, 3):
+        events = []
+        result = covering_radius(code, jobs=jobs, on_event=events.append)
+        assert result.coset_count_by_weight == counts
+        assert result.deepest_syndrome == Word(deepest, code.n - code.k)
+        assert [e.path for e in events][-2:] == ["pull", "pull"]
+        assert [e.count for e in events] == [int(np.count_nonzero(leaders == w)) for w in range(1, 9)]
+
+
+def test_checkpoint_around_a_pull_stratum_resumes(tmp_path):
+    fresh = covering_radius(_pull_case())
+    for cap in (6, 7):  # just before the first pull stratum, and just after it
+        path = str(tmp_path / f"cap{cap}.npz")
+        with pytest.raises(WeightCapExceeded):
+            covering_radius(_pull_case(), weight_cap=cap, checkpoint_path=path)
+        resumed = []
+        assert covering_radius(_pull_case(), checkpoint_path=path, on_event=resumed.append) == fresh
+        assert [(e.weight, e.path) for e in resumed] == [(7, "pull"), (8, "pull")][cap - 6:]
+
+
+def test_last_stratum_of_bch31_6_is_pulled():
+    events = []
+    result = covering_radius(build_bch(31, 15)[0], on_event=events.append)
+    assert result.covering_radius == 11
+    assert [e.path for e in events][-1] == "pull"
+    assert events[-1].count == 427924
 
 
 def test_radius_at_least_packing_radius():

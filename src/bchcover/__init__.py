@@ -18,7 +18,7 @@ from .bounds import (
     johnson_general_floor,
     tau_wu,
 )
-from .decode import DecodeResult, bounded_decode, list_decode, ml_decode
+from .decode import DecodeResult, bounded_decode, list_decode, ml_decode, revolving_door
 from .gf2m import BinaryPolynomial, FieldContext, PRIMITIVE_POLYS, make_field
 from .linear_code import LinearCode, Word, codeword_table, from_generator_poly
 from .manifest import TABLE1, TableRow
@@ -28,8 +28,6 @@ from .radius import (
     WeightCapExceeded,
     covering_radius,
     covering_radius_oracle,
-    is_perfect,
-    revolving_door,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "cyclotomic_cosets",
     "from_generator_poly",
     "generator_polynomial",
-    "is_perfect",
     "johnson_binary_floor",
     "johnson_curve",
     "johnson_general_floor",

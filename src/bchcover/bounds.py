@@ -20,6 +20,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .linear_code import LinearCode
+from .radius import RadiusResult
 
 
 def johnson_binary_floor(n: int, d: int) -> int:
@@ -117,11 +118,11 @@ class CoverageReport:
     comment: str
 
 
-def classify(code: LinearCode, comment: str = "") -> CoverageReport:
+def classify(code: LinearCode, radius: RadiusResult | None = None, comment: str = "") -> CoverageReport:
     """Classify a code against the Johnson radii and its covering radius.
 
-    The covering radius is read from ``code.covering_radius``; when unknown
-    every coverage flag is reported False and the comment says so.
+    ``radius`` is the code's ``covering_radius`` result; without one every
+    coverage flag is reported False and the comment says "R unknown".
     """
     d, exactness = code.min_distance()
     t = (d - 1) // 2
@@ -137,14 +138,14 @@ def classify(code: LinearCode, comment: str = "") -> CoverageReport:
     else:
         tau_binary = johnson_binary_floor(code.n, d)
         saturated = False
-    radius = code.covering_radius
-    if radius is None:
+    r = None if radius is None else radius.covering_radius
+    if r is None:
         notes.append("R unknown")
         perfect = a_covered = strict = wu = False
     else:
-        perfect = radius == t
-        a_covered = radius <= tau_binary
-        strict = radius < tau_binary
+        perfect = r == t
+        a_covered = r <= tau_binary
+        strict = r < tau_binary
         wu = a_covered and tau_binary > t
     return CoverageReport(
         n=code.n,
@@ -152,7 +153,7 @@ def classify(code: LinearCode, comment: str = "") -> CoverageReport:
         d=d,
         d_exact=exactness == "exact",
         t=t,
-        covering_radius=radius,
+        covering_radius=r,
         tau_general=tau_general,
         tau_binary=tau_binary,
         tau_binary_saturated=saturated,

@@ -34,9 +34,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
         code, _ = build_bch(row.n, row.delta)
         d, exactness = code.min_distance()
         skip_radius = row.long_running and not args.long_running
-        if not skip_radius:
-            covering_radius(code, jobs=args.jobs)
-        report = classify(code, comment=row.comment)
+        result = None if skip_radius else covering_radius(code, jobs=args.jobs)
+        report = classify(code, result, comment=row.comment)
         r_cell = "skipped" if skip_radius else str(report.covering_radius)
         print(
             f"{report.n},{report.k},{report.d},{report.t},{r_cell},"
@@ -99,8 +98,8 @@ def cmd_radius(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     code, _ = build_bch(args.n, args.delta)
     row = find_row(args.n, args.delta)
-    covering_radius(code, jobs=args.jobs)
-    report = classify(code, comment=row.comment if row else "")
+    result = covering_radius(code, jobs=args.jobs)
+    report = classify(code, result, comment=row.comment if row else "")
     print(f"n = {report.n}")
     print(f"k = {report.k}")
     print(f"d = {report.d}" + ("" if report.d_exact else " (lower bound)"))

@@ -38,11 +38,11 @@ import weakref
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
-from .linear_code import LinearCode, Word
-from .radius import revolving_door
+from .linear_code import LinearCode, Word, _doubling_table
 
 _SPLIT_MAX_N = 40       # half-tables of at most 2^20 entries
 
@@ -72,11 +72,6 @@ class DecodeResult:
         return tuple(dist for _, dist in self.entries)
 
 
-def _check_word(code: LinearCode, v: Word) -> None:
-    if v.n != code.n:
-        raise ValueError(f"word length {v.n} does not match code length {code.n}")
-
-
 def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int, strategy: str) -> DecodeResult:
     entries = []
     for mask in masks:
@@ -89,6 +84,36 @@ def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int, s
 # ----------------------------------------------------------------------
 # scan engine
 # ----------------------------------------------------------------------
+
+def revolving_door(n: int, w: int) -> Iterator[int]:
+    """Weight-w masks over n bits in minimal-change order.
+
+    Consecutive masks differ by exactly one removed and one added bit, so a
+    syndrome can be carried along with two column XORs per step. Starts at
+    {0..w-1}, ends at {0..w-2, n-1}.
+    """
+    if w < 0 or w > n:
+        return
+    yield from _revolving(n, w, False)
+
+
+def _revolving(n: int, w: int, rev: bool) -> Iterator[int]:
+    if w == 0:
+        yield 0
+        return
+    if w == n:
+        yield (1 << n) - 1
+        return
+    top = 1 << (n - 1)
+    if not rev:
+        yield from _revolving(n - 1, w, False)
+        for m in _revolving(n - 1, w - 1, True):
+            yield m | top
+    else:
+        for m in _revolving(n - 1, w - 1, False):
+            yield m | top
+        yield from _revolving(n - 1, w, True)
+
 
 def _scan_matches(code: LinearCode, target: int, tau: int, stop_at_first_weight: bool) -> list[int]:
     cols = code.syndrome_columns
@@ -120,14 +145,6 @@ def _scan_matches(code: LinearCode, target: int, tau: int, stop_at_first_weight:
 _EMPTY = np.empty(0, dtype=np.uint64)
 
 
-def _doubling(cols: tuple[int, ...], bits: int) -> np.ndarray:
-    """Syndromes of all 2^bits patterns on the given columns, indexed by mask."""
-    synd = np.zeros(1 << bits, dtype=np.uint64)
-    for i in range(bits):
-        synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint64(cols[i])
-    return synd
-
-
 def _class_starts(bits: int) -> list[int]:
     """Offsets of the weight classes of 2^bits masks ordered by weight; class a is [s[a], s[a+1])."""
     return list(accumulate((comb(bits, w) for w in range(bits + 1)), initial=0))
@@ -146,8 +163,8 @@ class _SplitIndex:
         self.nl = n_left = code.n // 2
         self.nr = n_right = code.n - n_left
         cols = code.syndrome_columns
-        left_synd = _doubling(cols[:n_left], n_left)
-        right_synd = _doubling(cols[n_left:], n_right)
+        left_synd = _doubling_table(cols[:n_left], n_left)
+        right_synd = _doubling_table(cols[n_left:], n_right)
         left_weight = np.bitwise_count(np.arange(1 << n_left, dtype=np.uint64))
         right_weight = np.bitwise_count(np.arange(1 << n_right, dtype=np.uint64))
         self.left_by_weight = np.argsort(left_weight, kind="stable").astype(np.uint64)
@@ -222,11 +239,10 @@ def _pick_strategy(code: LinearCode, strategy: str) -> str:
 
 def list_decode(code: LinearCode, v: Word, tau: int, strategy: str = "auto") -> DecodeResult:
     """All codewords within distance tau of v, exhaustively."""
-    _check_word(code, v)
+    target = code.syndrome(v).bits
     if not 0 <= tau <= code.n:
         raise ValueError(f"need 0 <= tau <= n, got tau={tau}")
     strategy = _pick_strategy(code, strategy)
-    target = code.syndrome_int(v.bits)
     if strategy == "scan":
         masks = _scan_matches(code, target, tau, stop_at_first_weight=False)
     else:
@@ -247,12 +263,11 @@ def ml_decode(
     always ends with a result. If every codeword is farther than
     ``weight_cap``, the result is empty with ``radius_used == weight_cap``.
     """
-    _check_word(code, v)
+    target = code.syndrome(v).bits
     cap = code.n if weight_cap is None else weight_cap
     if not 0 <= cap <= code.n:
         raise ValueError(f"need 0 <= weight_cap <= n, got weight_cap={weight_cap}")
     strategy = _pick_strategy(code, strategy)
-    target = code.syndrome_int(v.bits)
     if strategy == "scan":
         masks = _scan_matches(code, target, cap, stop_at_first_weight=True)
     else:

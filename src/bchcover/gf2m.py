@@ -90,9 +90,6 @@ class BinaryPolynomial:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def coefficient(self, i: int) -> int:
-        return (self.value >> i) & 1
-
     def __add__(self, other: BinaryPolynomial) -> BinaryPolynomial:
         return BinaryPolynomial(self.value ^ other.value)
 
@@ -124,9 +121,6 @@ class BinaryPolynomial:
     def __floordiv__(self, other: BinaryPolynomial) -> BinaryPolynomial:
         return divmod(self, other)[0]
 
-    def divides(self, other: BinaryPolynomial) -> bool:
-        return (other % self).is_zero
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -137,13 +131,8 @@ class BinaryPolynomial:
         return " + ".join(terms)
 
 
-ZERO = BinaryPolynomial(0)
-ONE = BinaryPolynomial(1)
-X = BinaryPolynomial(2)
-
-
 class FieldContext:
-    """GF(2^m) with precomputed log/exp tables (O(1) multiply and invert).
+    """GF(2^m) with precomputed log/exp tables (O(1) multiply).
 
     ``exp_table[i]`` is alpha^i for 0 <= i < 2^m - 1, enumerating every
     nonzero element exactly once; ``log_table`` is its inverse map.
@@ -171,28 +160,11 @@ class FieldContext:
         self.exp_table = tuple(exp)
         self.log_table = tuple(log)
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Field addition (XOR in characteristic 2)."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Field multiplication via log/exp tables; mul(a, 0) = 0."""
         if a == 0 or b == 0:
             return 0
         return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.order - 1)]
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; rejects zero."""
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.exp_table[(self.order - 1 - self.log_table[a]) % (self.order - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0 (0^0 = 1)."""
-        if a == 0:
-            return 0 if e else 1
-        return self.exp_table[(self.log_table[a] * e) % (self.order - 1)]
 
     def alpha_power(self, i: int) -> int:
         """alpha^i for any integer exponent i."""
@@ -204,9 +176,6 @@ class FieldContext:
         for i in range(p.value.bit_length() - 1, -1, -1):
             acc = self.mul(acc, x) ^ ((p.value >> i) & 1)
         return acc
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:
         return f"FieldContext(GF(2^{self.m}), modulus={self.primitive_poly})"

@@ -5,8 +5,13 @@ coordinate i, which is the coefficient of x^i for cyclic codes and the
 leftmost-first character in textual I/O. So the string "1101000" is the
 polynomial 1 + x + x^3.
 
-A LinearCode is immutable after construction; syndrome computation and
-codeword enumeration are pure, so codes are safe to share across workers.
+A LinearCode's matrices are fixed at construction; syndrome computation
+and codeword enumeration are pure, so codes are safe to share across
+workers. Two things stay mutable: the memo of the exact minimum distance,
+filled by the first ``min_distance`` call that can afford it, and
+``label``, which ``build_bch`` sets once that call has run. Results derived
+from a code, such as its covering radius, are values returned to the
+caller and never stored on the code.
 """
 
 from __future__ import annotations
@@ -54,9 +59,6 @@ class Word:
 
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
 
     def __xor__(self, other: Word) -> Word:
         if self.n != other.n:
@@ -110,8 +112,6 @@ class LinearCode:
         generator_rows: list[int],
         n: int,
         label: str = "",
-        min_distance: int | None = None,
-        min_distance_exact: bool = False,
         generator_poly: BinaryPolynomial | None = None,
         designed_distance: int | None = None,
     ) -> None:
@@ -131,7 +131,7 @@ class LinearCode:
         self.label = label
         self.generator_poly = generator_poly
         self.designed_distance = designed_distance
-        self.covering_radius: int | None = None
+        self._min_distance: int | None = None  # exact, once computed
 
         nonpivots = [c for c in range(n) if c not in set(pivots)]
         h_rows = []
@@ -149,9 +149,6 @@ class LinearCode:
                 v |= ((h >> i) & 1) << j
             cols.append(v)
         self.syndrome_columns = tuple(cols)
-
-        self._min_distance = min_distance
-        self._min_distance_exact = bool(min_distance_exact and min_distance is not None)
 
     # ------------------------------------------------------------------
     # syndromes and membership
@@ -222,45 +219,17 @@ class LinearCode:
 
         The lower bound is the stored designed distance (1 if none is known).
         """
-        if self._min_distance_exact:
-            return self._min_distance, "exact"  # type: ignore[return-value]
+        if self._min_distance is not None:
+            return self._min_distance, "exact"
         if self.k == 0:
             return self.n + 1, "exact"  # empty code: no nonzero codeword
         if (1 << self.k) <= codeword_budget:
-            d = int(min_nonzero_weight(self.generator_rows, self.n))
-            self._min_distance = d
-            self._min_distance_exact = True
-            return d, "exact"
-        bound = self._min_distance or self.designed_distance or 1
-        return bound, "lower_bound"
-
-    # ------------------------------------------------------------------
-    # plain text import/export
-    # ------------------------------------------------------------------
-    def to_text(self) -> str:
-        """Header line ``n k label`` then k generator rows as 0/1 strings."""
-        lines = [f"{self.n} {self.k} {self.label}".rstrip()]
-        for row in self.generator_rows:
-            lines.append(str(Word(row, self.n)))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> LinearCode:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty code description")
-        head = lines[0].split(maxsplit=2)
-        if len(head) < 2:
-            raise ValueError(f"bad header line: {lines[0]!r}")
-        n, k = int(head[0]), int(head[1])
-        label = head[2] if len(head) > 2 else ""
-        if len(lines) != k + 1:
-            raise ValueError(f"expected {k} generator rows, found {len(lines) - 1}")
-        rows = [Word.from_text(ln.strip(), n).bits for ln in lines[1:]]
-        return cls(rows, n, label=label)
+            self._min_distance = int(min_nonzero_weight(self.generator_rows, self.n))
+            return self._min_distance, "exact"
+        return self.designed_distance or 1, "lower_bound"
 
     def __repr__(self) -> str:
-        d = f",{self._min_distance}" if self._min_distance_exact else ""
+        d = "" if self._min_distance is None else f",{self._min_distance}"
         name = self.label or f"[{self.n},{self.k}{d}]"
         return f"LinearCode({name})"
 
@@ -302,6 +271,7 @@ def codeword_table(code: LinearCode, max_k: int = 22) -> np.ndarray:
 
 
 def _doubling_table(rows: tuple[int, ...] | list[int], k: int) -> np.ndarray:
+    """XOR of the rows selected by each k-bit mask, indexed by the mask."""
     cw = np.zeros(1 << k, dtype=np.uint64)
     for i in range(k):
         cw[1 << i: 2 << i] = cw[: 1 << i] ^ np.uint64(rows[i])

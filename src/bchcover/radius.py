@@ -51,7 +51,7 @@ import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -455,7 +455,7 @@ def covering_radius(
     a resumed checkpoint is already past the cap. ``jobs`` threads share
     each dense stratum; the result does not depend on it. ``on_event``, if
     given, receives a StratumEvent after each stratum this call computes.
-    On success the result is cached on ``code.covering_radius``.
+    The code is left unchanged; callers keep the returned result.
     """
     nk = code.n - code.k
     if nk > 32:
@@ -516,13 +516,11 @@ def covering_radius(
         if pool is not None:
             pool.shutdown()
 
-    result = RadiusResult(
+    return RadiusResult(
         covering_radius=w,
         coset_count_by_weight=tuple(counts),
         deepest_syndrome=Word(_lowest_set_bit(frontier), nk),
     )
-    code.covering_radius = w
-    return result
 
 
 def covering_radius_oracle(code: LinearCode) -> int:
@@ -542,44 +540,3 @@ def covering_radius_oracle(code: LinearCode) -> int:
         radius = max(radius, int(dmin.max()))
     return radius
 
-
-def is_perfect(code: LinearCode) -> bool:
-    """R == floor((d-1)/2); needs exact distance and a known covering radius."""
-    d, exactness = code.min_distance()
-    if exactness != "exact" or code.covering_radius is None:
-        raise ValueError("insufficient data: need exact d and a computed covering radius")
-    return code.covering_radius == (d - 1) // 2
-
-
-# ----------------------------------------------------------------------
-# revolving-door enumeration of fixed-weight words
-# ----------------------------------------------------------------------
-
-def revolving_door(n: int, w: int) -> Iterator[int]:
-    """Weight-w masks over n bits in minimal-change order.
-
-    Consecutive masks differ by exactly one removed and one added bit, so a
-    syndrome can be carried along with two column XORs per step. Starts at
-    {0..w-1}, ends at {0..w-2, n-1}.
-    """
-    if w < 0 or w > n:
-        return
-    yield from _revolving(n, w, False)
-
-
-def _revolving(n: int, w: int, rev: bool) -> Iterator[int]:
-    if w == 0:
-        yield 0
-        return
-    if w == n:
-        yield (1 << n) - 1
-        return
-    top = 1 << (n - 1)
-    if not rev:
-        yield from _revolving(n - 1, w, False)
-        for m in _revolving(n - 1, w - 1, True):
-            yield m | top
-    else:
-        for m in _revolving(n - 1, w - 1, False):
-            yield m | top
-        yield from _revolving(n - 1, w, True)

@@ -3,21 +3,29 @@ from __future__ import annotations
 import functools
 import random
 
-from bchcover import LinearCode, build_bch
+from bchcover import LinearCode, RadiusResult, build_bch, covering_radius
 
 
 @functools.lru_cache(maxsize=None)
 def bch_code(n: int, delta: int) -> LinearCode:
     """Shared, cached code instances.
 
-    The cache means a covering radius stored on a code persists across
-    tests, and so does the code's split decoding index (kept in a weak
-    cache keyed by the code, so it lives as long as the code); tests that
-    need a pristine code (e.g. the R-unknown policy) must call build_bch
-    directly.
+    The split decoding index of a code is kept in a weak cache keyed by the
+    code, so it lives as long as the cached code and is shared across tests.
     """
     code, _ = build_bch(n, delta)
     return code
+
+
+@functools.lru_cache(maxsize=None)
+def radius_result(n: int, delta: int) -> RadiusResult:
+    """Shared, cached covering radius result of ``bch_code(n, delta)``.
+
+    ``covering_radius`` stores nothing on the code, so tests that need R
+    (or pass it to ``classify``) take it from here, and each code is
+    searched once per session.
+    """
+    return covering_radius(bch_code(n, delta))
 
 
 def random_code(rng: random.Random, n: int, k: int) -> LinearCode:

@@ -23,7 +23,7 @@ from bchcover.linear_code import Word, codeword_table
 from bchcover.manifest import TABLE1
 from bchcover.radius import covering_radius, covering_radius_oracle
 
-from conftest import bch_code, random_code
+from conftest import bch_code, radius_result, random_code
 
 LONG_RUNS = os.environ.get("BCHCOVER_LONG") == "1"
 
@@ -41,12 +41,6 @@ def report(criterion: str, timer: Timer, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS in {timer.elapsed:.1f}s — {detail}")
 
 
-def radius_of(code) -> int:
-    if code.covering_radius is None:
-        covering_radius(code)
-    return code.covering_radius
-
-
 # ---------------------------------------------------------------------------
 # 1. table reproduction for n <= 31
 # ---------------------------------------------------------------------------
@@ -59,7 +53,7 @@ def test_criterion_1_table_rows_up_to_31(capsys):
             code = bch_code(row.n, row.delta)
             assert code.k == row.k, f"[{row.n},{row.k}] k"
             assert code.min_distance() == (row.d, "exact"), f"[{row.n},{row.k}] d"
-            assert radius_of(code) == row.covering_radius, f"[{row.n},{row.k}] R"
+            assert radius_result(row.n, row.delta).covering_radius == row.covering_radius, f"[{row.n},{row.k}] R"
             assert johnson_binary_floor(row.n, row.d) == row.tau_binary, f"[{row.n},{row.k}] tau"
         # the CLI check is the single source of truth for table fidelity
         assert cli_main(["table1", "--max-n", "31"]) == 0
@@ -132,10 +126,8 @@ def test_criterion_5_classification():
     with Timer() as timer:
         reports = {}
         for row in TABLE1:
-            code = bch_code(row.n, row.delta)
-            if not row.long_running:
-                radius_of(code)
-            reports[(row.n, row.k, row.d)] = classify(code, comment=row.comment)
+            result = None if row.long_running else radius_result(row.n, row.delta)
+            reports[(row.n, row.k, row.d)] = classify(bch_code(row.n, row.delta), result, comment=row.comment)
 
         expected_wu = {
             (15, 7, 5), (17, 9, 5), (23, 12, 7), (31, 11, 11),
@@ -168,7 +160,7 @@ def test_criterion_6_decoding_oracle_equivalence():
         rng = random.Random(0xC0DE)
         for row in small:
             code = bch_code(row.n, row.delta)
-            radius = radius_of(code)
+            radius = radius_result(row.n, row.delta).covering_radius
             d, _ = code.min_distance()
             taus = sorted({(d - 1) // 2, radius, johnson_binary_floor(row.n, row.d)})
             cw = codeword_table(code, max_k=16)

@@ -123,10 +123,9 @@ def test_dimensions_match_reference(row):
 def test_beta_has_order_n():
     _, spec = build_bch(17, 3, codeword_budget=2)
     ctx = make_field(spec.m)
-    beta = ctx.alpha_power(spec.beta_log)
-    powers = {ctx.pow(beta, e) for e in range(17)}
+    powers = {ctx.alpha_power(spec.beta_log * e) for e in range(17)}  # beta^e
     assert len(powers) == 17
-    assert ctx.pow(beta, 17) == 1
+    assert ctx.alpha_power(spec.beta_log * 17) == 1
 
 
 @pytest.mark.parametrize(

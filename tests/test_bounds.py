@@ -12,11 +12,11 @@ from bchcover.bounds import (
     johnson_general_floor,
     tau_wu,
 )
-from bchcover.linear_code import LinearCode
+from bchcover.linear_code import LinearCode, Word
 from bchcover.manifest import TABLE1
-from bchcover.radius import covering_radius
+from bchcover.radius import RadiusResult
 
-from conftest import bch_code
+from conftest import bch_code, radius_result
 
 mp.mp.dps = 60
 
@@ -184,9 +184,7 @@ def test_wu_accepts_rational_strings():
 # ---------------------------------------------------------------------------
 
 def test_classify_wu_covered_code():
-    code = bch_code(15, 5)
-    covering_radius(code)
-    report = classify(code)
+    report = classify(bch_code(15, 5), radius_result(15, 5))
     assert (report.n, report.k, report.d, report.t) == (15, 7, 5, 2)
     assert report.covering_radius == 3
     assert report.tau_binary == 3 and report.tau_general == 2
@@ -195,26 +193,20 @@ def test_classify_wu_covered_code():
 
 
 def test_classify_uncovered_code():
-    code = bch_code(31, 5)
-    covering_radius(code)
-    report = classify(code)
+    report = classify(bch_code(31, 5), radius_result(31, 5))
     assert report.covering_radius == 3 and report.tau_binary == 2
     assert not report.is_a_covered and not report.wu_covered
 
 
 def test_classify_golay_strictly_covered():
-    code = bch_code(23, 5)
-    covering_radius(code)
-    report = classify(code)
+    report = classify(bch_code(23, 5), radius_result(23, 5))
     assert report.is_perfect
     assert report.is_a_covered and report.strictly_covered  # 3 < 4
     assert report.wu_covered
 
 
 def test_classify_perfect_without_johnson_slack():
-    code = bch_code(15, 3)
-    covering_radius(code)
-    report = classify(code)
+    report = classify(bch_code(15, 3), radius_result(15, 3))
     assert report.is_perfect
     assert report.is_a_covered          # R = tau = 1: definition holds
     assert not report.wu_covered        # but the Johnson radius adds nothing
@@ -231,22 +223,21 @@ def test_classify_unknown_radius_policy():
 
 def test_classify_lower_bound_distance_is_flagged():
     code, _ = build_bch(63, 5)
-    code.covering_radius = 3
-    report = classify(code)
+    # the search's own result for [63,51]; only R enters the report
+    radius = RadiusResult(3, (1, 63, 1953, 2079), Word.from_text("111000000000"))
+    report = classify(code, radius)
     assert not report.d_exact
     assert "lower bound" in report.comment
 
 
 def test_classify_saturated_binary_bound():
     repetition = LinearCode([0b11111], 5)  # d = 5, 2d > n
-    repetition.covering_radius = 2
-    report = classify(repetition)
+    report = classify(repetition, RadiusResult(2, (1, 5, 10), Word.from_text("1100")))
     assert report.tau_binary_saturated
     assert report.tau_binary == 2  # n // 2 convention
     assert "2d > n" in report.comment
 
 
 def test_classify_keeps_caller_comment():
-    code = bch_code(23, 5)
-    covering_radius(code)
-    assert classify(code, comment="Wu-covered code").comment == "Wu-covered code"
+    report = classify(bch_code(23, 5), radius_result(23, 5), comment="Wu-covered code")
+    assert report.comment == "Wu-covered code"

@@ -4,6 +4,8 @@ import pytest
 
 from bchcover.cli import main
 
+EXPECTED = Path(__file__).parent / "expected"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -36,6 +38,7 @@ def test_table1_up_to_31(capsys):
 def test_table1_skips_heavy_rows_by_default(capsys):
     code, out, err = run(capsys, "table1", "--max-n", "63")
     assert code == 0
+    assert out == (EXPECTED / "table1.csv").read_text()
     rows = {tuple(line.split(",")[:2]): line for line in out.strip().splitlines()[1:]}
     assert rows[("63", "45")].split(",")[4] == "5"        # cheap row computed
     assert rows[("63", "39")].split(",")[4] == "skipped"
@@ -119,7 +122,6 @@ def test_radius_rejects_nonpositive_jobs(capsys, jobs):
 
 # Full `bchcover radius` stdout recorded with the earlier uint8 first-seen-table
 # engine, an independent implementation; the search must reproduce it byte for byte.
-EXPECTED = Path(__file__).parent / "expected"
 PINNED = [(31, 11, 5), (63, 7, 3), (31, 15, 9), (31, 15, 3)]  # n, delta, a weight cap below R
 
 

@@ -12,7 +12,7 @@ from bchcover.linear_code import LinearCode, Word, codeword_table
 from bchcover.manifest import TABLE1
 from bchcover.radius import covering_radius
 
-from conftest import bch_code, random_code
+from conftest import bch_code, radius_result, random_code
 
 
 def brute_force_within(code, v: Word, tau: int) -> set[int]:
@@ -25,12 +25,6 @@ def brute_force_within(code, v: Word, tau: int) -> set[int]:
 def brute_force_nearest(code, v: Word) -> int:
     cw = codeword_table(code, max_k=code.k)
     return int(np.bitwise_count(cw ^ np.uint64(v.bits)).min())
-
-
-def radius_of(code) -> int:
-    if code.covering_radius is None:
-        covering_radius(code)
-    return code.covering_radius
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +73,7 @@ def test_strategies_agree():
     for n, delta, words in [(23, 5, 5), (31, 7, 3)]:
         code = bch_code(n, delta)
         d, _ = code.min_distance()
-        taus = sorted({(d - 1) // 2, radius_of(code), johnson_binary_floor(n, d)})
+        taus = sorted({(d - 1) // 2, radius_result(n, delta).covering_radius, johnson_binary_floor(n, d)})
         for _ in range(words):
             v = Word(rng.randrange(1 << n), n)
             for tau in taus:
@@ -94,7 +88,7 @@ def test_strategies_agree_at_full_radius_31_11():
     # all 3.6e6 patterns of weight <= 7
     code = bch_code(31, 11)
     v = Word(random.Random(100).randrange(1 << 31), 31)
-    tau = radius_of(code)
+    tau = radius_result(31, 11).covering_radius
     assert list_decode(code, v, tau, strategy="scan") == list_decode(code, v, tau, strategy="split")
 
 
@@ -168,7 +162,6 @@ def test_ml_matches_brute_force():
     rng = random.Random(314)
     for n, delta in [(7, 3), (15, 5), (17, 3), (23, 5)]:
         code = bch_code(n, delta)
-        radius_of(code)
         for _ in range(100):
             v = Word(rng.randrange(1 << n), n)
             result = ml_decode(code, v)
@@ -227,8 +220,7 @@ def test_ml_matches_brute_force_on_every_word_of_an_odd_length_code():
 
 
 def test_ml_with_unknown_radius_leaves_the_code_untouched():
-    code, _ = build_bch(23, 5)  # fresh: covering radius never computed
-    assert code.covering_radius is None
+    code, _ = build_bch(23, 5)  # fresh: no radius search has run on it
     before = dict(vars(code))
     cw = codeword_table(code, max_k=code.k)
     rng = random.Random(2305)
@@ -283,7 +275,6 @@ def test_ml_termination_within_binary_johnson_on_covered_codes():
     rng = random.Random(1618)
     for n, delta in [(15, 5), (17, 3), (23, 5), (31, 11)]:
         code = bch_code(n, delta)
-        radius_of(code)
         d, _ = code.min_distance()
         tau_b = johnson_binary_floor(n, d)
         for _ in range(200):

@@ -143,22 +143,10 @@ def test_gf16_product_example():
 
 def test_mul_identity_and_zero():
     ctx = make_field(4)
-    for a in ctx.elements():
+    for a in range(ctx.order):
         assert ctx.mul(a, 1) == a
         assert ctx.mul(a, 0) == 0
         assert ctx.mul(0, a) == 0
-
-
-def test_inverses():
-    ctx = make_field(4)
-    assert ctx.inv(1) == 1
-    assert ctx.inv(ctx.alpha_power(1)) == ctx.alpha_power(14)
-    for a in range(1, 16):
-        assert ctx.mul(a, ctx.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        ctx.inv(0)
-    gf4 = make_field(2)
-    assert gf4.inv(gf4.alpha_power(1)) == gf4.alpha_power(2)
 
 
 @pytest.mark.parametrize("m", range(2, 12))
@@ -188,17 +176,6 @@ def test_element_orders(m):
     assert order_of(ctx, ctx.alpha_power(1)) == group
     for a in range(1, ctx.order):
         assert group % order_of(ctx, a) == 0
-
-
-def test_pow():
-    ctx = make_field(5)
-    for a in (1, 7, 19, 30):
-        acc = 1
-        for e in range(10):
-            assert ctx.pow(a, e) == acc
-            acc = ctx.mul(acc, a)
-    assert ctx.pow(0, 0) == 1
-    assert ctx.pow(0, 5) == 0
 
 
 # ---------------------------------------------------------------------------

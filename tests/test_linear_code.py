@@ -266,31 +266,6 @@ def test_cyclic_shift_closure(n, delta):
         assert code.syndrome_int(cyclic_shift(cw, n)) == 0
 
 
-# ---------------------------------------------------------------------------
-# text import/export
-# ---------------------------------------------------------------------------
-
-def test_text_roundtrip():
-    code = bch_code(15, 5)
-    text = code.to_text()
-    lines = text.strip().splitlines()
-    assert lines[0] == "15 7 BCH [15,7,5]"
-    assert len(lines) == 8
-    back = LinearCode.from_text(text)
-    assert back.n == code.n and back.k == code.k
-    assert back.generator_rows == code.generator_rows
-    assert back.label == "BCH [15,7,5]"
-
-
-def test_text_parse_errors():
-    with pytest.raises(ValueError):
-        LinearCode.from_text("")
-    with pytest.raises(ValueError):
-        LinearCode.from_text("7\n1101000\n")
-    with pytest.raises(ValueError):
-        LinearCode.from_text("7 2 label\n1101000\n")  # one row missing
-
-
 def test_codeword_table_guard():
     with pytest.raises(ValueError):
         codeword_table(random_code(random.Random(0), 30, 25))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bchcover.bch import build_bch
+from bchcover.bounds import classify
+from bchcover.decode import revolving_door
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
 from bchcover.gf2m import BinaryPolynomial
 from bchcover import radius
@@ -14,11 +16,9 @@ from bchcover.radius import (
     WeightCapExceeded,
     covering_radius,
     covering_radius_oracle,
-    is_perfect,
-    revolving_door,
 )
 
-from conftest import bch_code, random_code
+from conftest import bch_code, radius_result, random_code
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,31 @@ def test_oracle_guard():
 def test_known_covering_radii(n, delta, expected):
     code = bch_code(n, delta)
     assert covering_radius(code).covering_radius == expected
-    assert code.covering_radius == expected  # cached on the code
+
+
+def test_search_leaves_the_code_unchanged(tmp_path):
+    # the result is the only output: no run, finished or stopped at the
+    # weight cap, with or without a checkpoint, writes to the code
+    code, _ = build_bch(15, 5)
+    before = dict(vars(code))
+    for jobs in (1, 2):
+        assert covering_radius(code, jobs=jobs).covering_radius == 3
+        assert vars(code) == before
+        path = str(tmp_path / f"jobs{jobs}.npz")
+        assert covering_radius(code, jobs=jobs, checkpoint_path=path).covering_radius == 3
+        assert vars(code) == before
+    with pytest.raises(WeightCapExceeded):
+        covering_radius(code, weight_cap=2)
+    assert vars(code) == before
+
+
+def test_classify_without_result_after_a_search():
+    code, _ = build_bch(15, 5)
+    assert covering_radius(code).covering_radius == 3
+    report = classify(code)
+    assert report.covering_radius is None
+    assert "R unknown" in report.comment
+    assert not report.is_a_covered and not report.wu_covered
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +276,12 @@ def test_radius_at_least_packing_radius():
 # ---------------------------------------------------------------------------
 
 def test_perfect_codes():
-    hamming = bch_code(7, 3)
-    covering_radius(hamming)
-    assert is_perfect(hamming)
-    golay = bch_code(23, 5)
-    covering_radius(golay)
-    assert is_perfect(golay)
-    bch15 = bch_code(15, 5)
-    covering_radius(bch15)
-    assert not is_perfect(bch15)  # t = 2, R = 3 (quasi-perfect)
+    def perfect(n: int, delta: int) -> bool:
+        return classify(bch_code(n, delta), radius_result(n, delta)).is_perfect
 
-
-def test_is_perfect_requires_data():
-    code, _ = build_bch(7, 3)  # fresh: no radius attached
-    with pytest.raises(ValueError):
-        is_perfect(code)
-    code63, _ = build_bch(63, 5)  # d only known as a bound
-    code63.covering_radius = 3
-    with pytest.raises(ValueError):
-        is_perfect(code63)
+    assert perfect(7, 3)  # Hamming
+    assert perfect(23, 5)  # Golay
+    assert not perfect(15, 5)  # t = 2, R = 3 (quasi-perfect)
 
 
 # ---------------------------------------------------------------------------

@@ -7,23 +7,29 @@ generator matrix is never consulted, which keeps these routines independent
 of brute-force codeword enumeration (the usual cross-check oracle).
 
 Codes of length n <= 40 are decoded by one meet-in-the-middle engine
-(``split``). The coordinates are cut into a left half of nl = n // 2 and a
-right half of nr = n - nl, and the syndrome of every pattern on each half
-is stored: the left ordered by weight, the right by (weight, syndrome), so
-every weight class is one contiguous slice and every right class is
-sorted. A pattern of weight a + b with syndrome s is a left part of weight
-a and a right part of weight b whose syndromes XOR to s, so joining a left
-slice (XORed with s) against right class b with ``searchsorted`` finds
-exactly those patterns:
+(``split``). The parity-check rows are row-reduced with pivots in
+coordinate order; the result H' defines the same code. The coordinates
+are cut into a lookup side 0..nr-1 (nr = n - n // 2) and a needle side
+nr..n-1. If rho pivots lie below nr, every lookup pattern has an
+H'-syndrome below 2^rho, because the other rows vanish there, and each
+such value has exactly 2^(nr - rho) lookup patterns. So the lookup side
+is stored as a table with one column per syndrome value, and the needle
+side ordered by weight. A needle part of H'-syndrome u completes a
+pattern of syndrome s iff y = u ^ s < 2^rho, and then the patterns are
+column y of the table: one XOR and one compare per needle part, no search.
 
-  list_decode(tau)  for each b <= tau, joins the left patterns of weight
-                    <= tau - b against class b; every hit is within tau.
-  ml_decode(cap)    for w = 0, 1, ..., cap, joins the classes (a, w - a)
-                    and stops at the first w with a hit, which never
-                    exceeds the covering radius.
+  list_decode(tau)  joins every needle part of weight <= tau and keeps
+                    the patterns of weight <= tau. Weights are summed
+                    first; only kept patterns are assembled.
+  ml_decode(cap)    joins the needle parts of weight <= cap and <= the
+                    weight of one pattern of the coset read off the
+                    pivots of H', and keeps the patterns of least weight
+                    if it is <= cap; that weight never exceeds the
+                    covering radius.
 
-The index (2^nl + 2^nr entries) is built by the first query on a code and
-kept in a weak cache keyed by the code, so it lives as long as the code.
+The index (2^nr + 2^(n - nr) entries) is built by the first query on a
+code and kept in a weak cache keyed by the code, so it lives as long as
+the code.
 
 Longer codes are decoded by ``scan``: patterns of weight 0..tau in
 revolving-door order, carrying the syndrome along with two column XORs per
@@ -42,9 +48,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .linear_code import LinearCode, Word, _doubling_table
+from .linear_code import LinearCode, Word, _doubling_table, _rref, _xor_rows
 
-_SPLIT_MAX_N = 40       # half-tables of at most 2^20 entries
+_SPLIT_MAX_N = 40       # side tables of at most 2^20 entries
 
 
 @dataclass(frozen=True)
@@ -142,75 +148,71 @@ def _scan_matches(code: LinearCode, target: int, tau: int, stop_at_first_weight:
 # split (meet-in-the-middle) engine
 # ----------------------------------------------------------------------
 
-_EMPTY = np.empty(0, dtype=np.uint64)
-
-
-def _class_starts(bits: int) -> list[int]:
-    """Offsets of the weight classes of 2^bits masks ordered by weight; class a is [s[a], s[a+1])."""
-    return list(accumulate((comb(bits, w) for w in range(bits + 1)), initial=0))
-
-
 class _SplitIndex:
-    """Syndromes of all patterns on each half of the coordinates, one slice per weight.
+    """The lookup side grouped by H'-syndrome, the needle side ordered by weight.
 
-    The left half (coordinates below ``nl``) is ordered by weight; the
-    right half by (weight, syndrome), so each right weight class is a
-    sorted run. A query XORs the target into a slice of left syndromes
-    and joins it against one right class.
+    ``columns`` are the columns of H'. Column s of ``lookup`` lists the
+    2^(nr - rho) lookup masks of H'-syndrome s; needle class a is
+    ``[start[a], start[a + 1])``.
     """
 
     def __init__(self, code: LinearCode):
-        self.nl = n_left = code.n // 2
-        self.nr = n_right = code.n - n_left
-        cols = code.syndrome_columns
-        left_synd = _doubling_table(cols[:n_left], n_left)
-        right_synd = _doubling_table(cols[n_left:], n_right)
-        left_weight = np.bitwise_count(np.arange(1 << n_left, dtype=np.uint64))
-        right_weight = np.bitwise_count(np.arange(1 << n_right, dtype=np.uint64))
-        self.left_by_weight = np.argsort(left_weight, kind="stable").astype(np.uint64)
-        self.left_synd = left_synd[self.left_by_weight]
-        self.left_start = _class_starts(n_left)
-        self.right_masks = np.lexsort((right_synd, right_weight)).astype(np.uint64)
-        self.right_synd = right_synd[self.right_masks]
-        self.right_start = _class_starts(n_right)
+        self.nl = n_needle = code.n // 2
+        self.nr = n_lookup = code.n - n_needle
+        rows, pivots = _rref(list(code.parity_rows), code.n)
+        self.rho = sum(p < n_lookup for p in pivots)
+        self.columns = tuple(sum(((h >> i) & 1) << j for j, h in enumerate(rows)) for i in range(code.n))
+        lookup_synd = _doubling_table(self.columns[:n_lookup], n_lookup)
+        by_synd = np.argsort(lookup_synd, kind="stable").astype(np.uint64).reshape(1 << self.rho, -1)
+        self.lookup = np.ascontiguousarray(by_synd.T)  # gathers and sums run along the long axis
+        self.lookup_weight = np.bitwise_count(self.lookup)
+        self.lightest = self.lookup_weight.min(axis=0)
+        needle_weight = np.bitwise_count(np.arange(1 << n_needle, dtype=np.uint64))
+        order = np.argsort(needle_weight, kind="stable")
+        self.needle_mask = order.astype(np.uint64) << np.uint64(n_lookup)
+        self.needle_synd = _doubling_table(self.columns[n_lookup:], n_needle)[order]
+        self.needle_weight = needle_weight[order]
+        self.start = list(accumulate((comb(n_needle, w) for w in range(n_needle + 1)), initial=0))
 
-    def _join(self, need: np.ndarray, left_masks: np.ndarray, b: int) -> np.ndarray:
-        """Patterns l | r << nl for left masks l (sought syndromes ``need``) and right masks r of weight b."""
-        r0 = self.right_start[b]
-        run = self.right_synd[r0: self.right_start[b + 1]]
-        lo = np.searchsorted(run, need)
-        hit = np.flatnonzero(run.take(lo, mode="clip") == need)
-        if hit.size == 0:
-            return _EMPTY
-        lo = lo[hit]
-        lens = np.searchsorted(run, need[hit], side="right") - lo
-        first = np.cumsum(lens) - lens
-        pos = np.repeat(r0 + lo - first, lens) + np.arange(int(first[-1] + lens[-1]))
-        return np.repeat(left_masks[hit], lens) | (self.right_masks[pos] << np.uint64(self.nl))
+    def _candidates(self, s: int, wmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The patterns of H'-syndrome s whose needle part has weight <= wmax.
 
-    def within(self, target: int, tau: int) -> np.ndarray:
-        """Every pattern of weight <= tau with syndrome ``target``."""
-        start = self.left_start
-        need = self.left_synd[: start[min(tau, self.nl) + 1]] ^ np.uint64(target)
-        found = []
-        for b in range(min(tau, self.nr) + 1):
-            end = start[min(tau - b, self.nl) + 1]
-            found.append(self._join(need[:end], self.left_by_weight[:end], b))
-        return np.concatenate(found)
+        A needle part of H'-syndrome u needs a lookup part of syndrome
+        y = u ^ s, which exists iff y < 2^rho; then it is any mask in
+        column y. Returns the needle positions ``hit``, their columns
+        ``cols`` and the weights: weight[i, j] is that of needle part
+        hit[j] joined with lookup mask i of column cols[j].
+        """
+        y = self.needle_synd[: self.start[min(wmax, self.nl) + 1]] ^ np.uint64(s)
+        hit = np.flatnonzero(y < self.lookup.shape[1])
+        cols = y[hit]
+        return hit, cols, self.needle_weight[hit] + self.lookup_weight.take(cols, axis=1)
 
-    def nearest(self, target: int, cap: int) -> np.ndarray:
-        """The patterns of least weight w <= cap with syndrome ``target``; empty if w > cap."""
-        start = self.left_start
-        need = self.left_synd[: start[min(cap, self.nl) + 1]] ^ np.uint64(target)
-        for w in range(cap + 1):
-            found = [
-                self._join(need[start[a]: start[a + 1]], self.left_by_weight[start[a]: start[a + 1]], w - a)
-                for a in range(max(0, w - self.nr), min(w, self.nl) + 1)
-            ]
-            masks = np.concatenate(found)
-            if masks.size:
-                return masks
-        return _EMPTY
+    def _patterns(self, hit: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        i, j = np.nonzero(keep)
+        return self.needle_mask[hit[j]] | self.lookup[i, cols[j]]
+
+    def within(self, bits: int, tau: int) -> np.ndarray:
+        """Every pattern of weight <= tau with the syndrome of the word ``bits``."""
+        hit, cols, weight = self._candidates(_xor_rows(self.columns, bits), tau)
+        return self._patterns(hit, cols, weight <= tau)
+
+    def nearest(self, bits: int, cap: int) -> np.ndarray:
+        """The patterns of least weight w <= cap with the syndrome of ``bits``; empty if w > cap.
+
+        Only needle parts of weight <= min(bound, cap) are joined, where
+        bound is the weight of one pattern known to have H'-syndrome s:
+        H' column p is the unit vector e_j at the pivot p of each row
+        j >= rho, and these pivots lie on the needle side, so the pivots
+        of the bits of s at or above rho clear those bits and the lightest
+        mask in column s mod 2^rho clears the rest. So the default cap n
+        costs no more than a tight one.
+        """
+        s = _xor_rows(self.columns, bits)
+        bound = (s >> self.rho).bit_count() + int(self.lightest[s & ((1 << self.rho) - 1)])
+        hit, cols, weight = self._candidates(s, min(bound, cap))
+        # if every weight exceeds cap the minimum is cap, which no weight equals: nothing is kept
+        return self._patterns(hit, cols, weight == weight.min(initial=cap))
 
 
 _split_indexes: weakref.WeakKeyDictionary[LinearCode, _SplitIndex] = weakref.WeakKeyDictionary()
@@ -246,7 +248,7 @@ def list_decode(code: LinearCode, v: Word, tau: int, strategy: str = "auto") -> 
     if strategy == "scan":
         masks = _scan_matches(code, target, tau, stop_at_first_weight=False)
     else:
-        masks = _split_index(code).within(target, tau).tolist()
+        masks = _split_index(code).within(v.bits, tau).tolist()
     return _result(code, v.bits, masks, tau, strategy)
 
 
@@ -258,9 +260,9 @@ def ml_decode(
 ) -> DecodeResult:
     """All codewords at minimum distance from v (maximum likelihood).
 
-    Searches weights 0, 1, ... and stops at the first weight with a hit;
-    that weight never exceeds the covering radius, so the default cap n
-    always ends with a result. If every codeword is farther than
+    Finds the least weight of an error pattern in v's coset, looking no
+    further than ``weight_cap``; that weight never exceeds the covering
+    radius, so the default cap n always ends with a result. If every codeword is farther than
     ``weight_cap``, the result is empty with ``radius_used == weight_cap``.
     """
     target = code.syndrome(v).bits
@@ -271,7 +273,7 @@ def ml_decode(
     if strategy == "scan":
         masks = _scan_matches(code, target, cap, stop_at_first_weight=True)
     else:
-        masks = _split_index(code).nearest(target, cap).tolist()
+        masks = _split_index(code).nearest(v.bits, cap).tolist()
     return _result(code, v.bits, masks, masks[0].bit_count() if masks else cap, strategy)
 
 

@@ -69,7 +69,7 @@ class Word:
         return (self ^ other).weight()
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -133,7 +133,7 @@ class LinearCode:
         self.designed_distance = designed_distance
         self._min_distance: int | None = None  # exact, once computed
 
-        nonpivots = [c for c in range(n) if c not in set(pivots)]
+        nonpivots = sorted(set(range(n)).difference(pivots))
         h_rows = []
         for c in nonpivots:
             h = 1 << c
@@ -154,13 +154,7 @@ class LinearCode:
     # syndromes and membership
     # ------------------------------------------------------------------
     def syndrome_int(self, bits: int) -> int:
-        s = 0
-        cols = self.syndrome_columns
-        while bits:
-            low = bits & -bits
-            s ^= cols[low.bit_length() - 1]
-            bits ^= low
-        return s
+        return _xor_rows(self.syndrome_columns, bits)
 
     def syndrome(self, v: Word) -> Word:
         """s = H v^T as a length n-k word; zero iff v is a codeword."""
@@ -175,7 +169,7 @@ class LinearCode:
         """Some word with the given syndrome (bits placed on non-pivot columns)."""
         if syndrome.n != self.n - self.k:
             raise ValueError(f"syndrome length {syndrome.n} != n-k = {self.n - self.k}")
-        nonpivots = [c for c in range(self.n) if c not in set(self.pivot_columns)]
+        nonpivots = sorted(set(range(self.n)).difference(self.pivot_columns))
         bits = 0
         for j, c in enumerate(nonpivots):
             if (syndrome.bits >> j) & 1:
@@ -186,13 +180,7 @@ class LinearCode:
     # codeword enumeration
     # ------------------------------------------------------------------
     def codeword_int(self, message: int) -> int:
-        cw = 0
-        rows = self.generator_rows
-        while message:
-            low = message & -message
-            cw ^= rows[low.bit_length() - 1]
-            message ^= low
-        return cw
+        return _xor_rows(self.generator_rows, message)
 
     def iter_codeword_ints(self) -> Iterator[int]:
         """All 2^k codewords, Gray-code order over message words.
@@ -268,6 +256,16 @@ def codeword_table(code: LinearCode, max_k: int = 22) -> np.ndarray:
     if code.k > max_k:
         raise ValueError(f"k = {code.k} too large for a full codeword table (max {max_k})")
     return _doubling_table(code.generator_rows, code.k)
+
+
+def _xor_rows(rows: tuple[int, ...] | list[int], bits: int) -> int:
+    """XOR of rows[i] over the set bits i of ``bits``; one entry of ``_doubling_table``."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
 
 def _doubling_table(rows: tuple[int, ...] | list[int], k: int) -> np.ndarray:

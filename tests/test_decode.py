@@ -7,8 +7,8 @@ import pytest
 
 from bchcover.bch import build_bch
 from bchcover.bounds import johnson_binary_floor
-from bchcover.decode import bounded_decode, list_decode, ml_decode
-from bchcover.linear_code import LinearCode, Word, codeword_table
+from bchcover.decode import _split_index, bounded_decode, list_decode, ml_decode
+from bchcover.linear_code import LinearCode, Word, _doubling_table, _rref, codeword_table
 from bchcover.manifest import TABLE1
 from bchcover.radius import covering_radius
 
@@ -118,10 +118,12 @@ def test_list_decode_validation():
 
 
 def test_list_decode_every_tau_matches_brute_force():
-    # every tau crosses every split of the weight classes: [15,5] has
-    # halves of 7 and 8 coordinates, the random [13,5] halves of 6 and 7;
-    # the [11,4] code has weight-2 codewords inside each half (5 and 6
-    # coordinates), so one weight class holds repeated syndromes
+    # every tau crosses every split of the weight classes: [15,5] has a
+    # lookup side of 8 coordinates and a needle side of 7, the random
+    # [13,5] sides of 7 and 6; the [11,4] code has one weight-2 codeword
+    # on the lookup side (coordinates 0-5) and the other on the needle
+    # side (6-10), so lookup masks share syndromes and one needle weight
+    # class holds repeated syndromes
     rng = random.Random(1315)
     repeated = LinearCode([0b00000000011, 0b00101000000, 0b10110101100, 0b01011010110], 11)
     for code in (bch_code(15, 7), random_code(rng, 13, 5), repeated):
@@ -135,6 +137,73 @@ def test_list_decode_every_tau_matches_brute_force():
                 expected = dict(zip(cw[keep].tolist(), dist[keep].tolist()))
                 assert {w.bits: d for w, d in result.entries} == expected
                 assert len(result.entries) == len(expected)
+
+
+# ---------------------------------------------------------------------------
+# the split index
+# ---------------------------------------------------------------------------
+
+def test_split_index_invariants():
+    # lookup-side kernel dimension nr - rho and rho per code: 0, 1 and 4 all
+    # occur, and bch31-6 has rho = 16 < n - k = 25
+    expected = {(31, 15): (0, 16), (31, 7): (1, 15), (15, 3): (4, 4)}
+    codes = [bch_code(row.n, row.delta) for row in TABLE1 if row.n <= 31]
+    codes.append(random_code(random.Random(808), 21, 12))
+    seen = {}
+    for code in codes:
+        index = _split_index(code)
+        nr, rho = index.nr, index.rho
+        assert nr == code.n - code.n // 2 and rho <= code.n - code.k
+        seen[code.n, code.designed_distance] = (nr - rho, rho)
+        # H' is orthogonal to every generator row and has rank n - k: it defines the code
+        h_rows = [sum(((c >> j) & 1) << i for i, c in enumerate(index.columns))
+                  for j in range(code.n - code.k)]
+        assert all((g & h).bit_count() % 2 == 0 for g in code.generator_rows for h in h_rows)
+        assert len(_rref(h_rows, code.n)[1]) == code.n - code.k
+        # every lookup mask once, 2^(nr - rho) of them in the column of each syndrome
+        assert index.lookup.shape == (1 << (nr - rho), 1 << rho)
+        assert np.array_equal(np.sort(index.lookup, axis=None), np.arange(1 << nr, dtype=np.uint64))
+        lookup_synd = _doubling_table(index.columns[:nr], nr)[index.lookup]
+        assert np.array_equal(lookup_synd, np.broadcast_to(np.arange(1 << rho), lookup_synd.shape))
+        assert np.array_equal(index.lookup_weight, np.bitwise_count(index.lookup))
+        assert np.array_equal(index.lightest, index.lookup_weight.min(axis=0))
+        # the rows of H' past rho have unit-vector pivot columns on the needle side
+        assert all((1 << j) in index.columns[nr:] for j in range(rho, code.n - code.k))
+        # needle side: every mask once, ordered by weight, syndromes under H'
+        needle = index.needle_mask >> np.uint64(nr)
+        assert np.array_equal(np.sort(needle), np.arange(1 << index.nl, dtype=np.uint64))
+        assert np.array_equal(index.needle_weight, np.bitwise_count(needle))
+        assert np.array_equal(index.needle_weight, np.repeat(np.arange(index.nl + 1), np.diff(index.start)))
+        assert np.array_equal(_doubling_table(index.columns[nr:], index.nl)[needle], index.needle_synd)
+    for key, value in expected.items():
+        assert seen[key] == value
+    assert {kernel for kernel, _ in seen.values()} >= {0, 1, 4}
+
+
+def test_split_ml_work_is_bounded_by_a_coset_pattern(monkeypatch):
+    # each lookup column of the [31,26] Hamming code holds 2^11 masks; with
+    # the default cap n, ML must still join only needle parts of weight <= 2
+    code = bch_code(31, 3)
+    index = _split_index(code)
+    joined = []
+    candidates = index._candidates
+    monkeypatch.setattr(index, "_candidates", lambda s, wmax: joined.append(wmax) or candidates(s, wmax))
+    rng = random.Random(31)
+    for _ in range(50):
+        result = ml_decode(code, Word(rng.getrandbits(31), 31))
+        assert len(result.entries) == 1 and result.radius_used <= 1  # perfect, R = 1
+    assert len(joined) == 50 and max(joined) <= 2
+
+
+def test_split_ml_on_every_word_of_15_11():
+    code = bch_code(15, 3)
+    cw = codeword_table(code, max_k=code.k)
+    for bits in range(1 << code.n):
+        dist = np.bitwise_count(cw ^ np.uint64(bits))
+        nearest = int(dist.min())
+        result = ml_decode(code, Word(bits, code.n), strategy="split")
+        assert result.radius_used == nearest == result.distances[0]
+        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
 
 
 # ---------------------------------------------------------------------------

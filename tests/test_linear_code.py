@@ -33,6 +33,17 @@ def test_word_text_roundtrip():
     assert w.weight() == 3
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 31, 63, 64, 70])
+def test_word_str_is_coordinate_order(n):
+    rng = random.Random(n)
+    for bits in {0, 1 % (1 << n), (1 << n) - 1, rng.randrange(1 << n)}:
+        w = Word(bits, n)
+        text = str(w)
+        assert text == "".join("1" if (bits >> i) & 1 else "0" for i in range(n))
+        if n:  # the empty string is not a word
+            assert Word.from_text(text) == w
+
+
 def test_word_hex_form():
     assert Word.from_text("0x0b", n=7) == Word.from_text("1101000")
     with pytest.raises(ValueError):

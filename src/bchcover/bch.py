@@ -132,6 +132,8 @@ def build_bch(
 
     The exact minimum distance is computed when 2^k fits the budget;
     otherwise the code carries delta as a designed-distance lower bound.
+    Computing it enumerates 2^min(k, n-k) words (the code or its dual, see
+    ``LinearCode.min_distance``), but the budget still gates on 2^k.
     """
     g = generator_polynomial(n, delta)
     if int(g.degree) >= n:

@@ -78,12 +78,20 @@ class DecodeResult:
         return tuple(dist for _, dist in self.entries)
 
 
+_REVERSED_BYTE = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+
+
 def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int, strategy: str) -> DecodeResult:
-    entries = []
-    for mask in masks:
-        cw = Word(v_bits ^ mask, code.n)
-        entries.append((cw, mask.bit_count()))
-    entries.sort(key=lambda e: (e[1], str(e[0])))
+    # Sort by (distance, codeword text) without building text: a word's bytes, each bit-reversed
+    # and read in reverse order, put coordinate 0 on top, so the integers compare like the text.
+    size = (code.n + 7) // 8
+
+    def key(mask: int) -> tuple[int, int]:
+        text_order = int.from_bytes((v_bits ^ mask).to_bytes(size, "little").translate(_REVERSED_BYTE), "big")
+        return mask.bit_count(), text_order
+
+    masks.sort(key=key)
+    entries = [(Word(v_bits ^ mask, code.n), mask.bit_count()) for mask in masks]
     return DecodeResult(entries=tuple(entries), radius_used=radius_used, exhausted=True, strategy=strategy)
 
 
@@ -239,14 +247,19 @@ def _pick_strategy(code: LinearCode, strategy: str) -> str:
 # public decoders
 # ----------------------------------------------------------------------
 
+def _check_length(code: LinearCode, v: Word) -> None:
+    if v.n != code.n:
+        raise ValueError(f"word length {v.n} does not match code length {code.n}")
+
+
 def list_decode(code: LinearCode, v: Word, tau: int, strategy: str = "auto") -> DecodeResult:
     """All codewords within distance tau of v, exhaustively."""
-    target = code.syndrome(v).bits
+    _check_length(code, v)
     if not 0 <= tau <= code.n:
         raise ValueError(f"need 0 <= tau <= n, got tau={tau}")
     strategy = _pick_strategy(code, strategy)
     if strategy == "scan":
-        masks = _scan_matches(code, target, tau, stop_at_first_weight=False)
+        masks = _scan_matches(code, code.syndrome_int(v.bits), tau, stop_at_first_weight=False)
     else:
         masks = _split_index(code).within(v.bits, tau).tolist()
     return _result(code, v.bits, masks, tau, strategy)
@@ -265,13 +278,13 @@ def ml_decode(
     radius, so the default cap n always ends with a result. If every codeword is farther than
     ``weight_cap``, the result is empty with ``radius_used == weight_cap``.
     """
-    target = code.syndrome(v).bits
+    _check_length(code, v)
     cap = code.n if weight_cap is None else weight_cap
     if not 0 <= cap <= code.n:
         raise ValueError(f"need 0 <= weight_cap <= n, got weight_cap={weight_cap}")
     strategy = _pick_strategy(code, strategy)
     if strategy == "scan":
-        masks = _scan_matches(code, target, cap, stop_at_first_weight=True)
+        masks = _scan_matches(code, code.syndrome_int(v.bits), cap, stop_at_first_weight=True)
     else:
         masks = _split_index(code).nearest(v.bits, cap).tolist()
     return _result(code, v.bits, masks, masks[0].bit_count() if masks else cap, strategy)

@@ -205,14 +205,18 @@ class LinearCode:
     def min_distance(self, codeword_budget: int = DEFAULT_CODEWORD_BUDGET) -> tuple[int, Exactness]:
         """Exact minimum weight when 2^k fits the budget, else a lower bound.
 
-        The lower bound is the stored designed distance (1 if none is known).
+        The exact value is the least i >= 1 with A_i > 0 in
+        ``weight_distribution``, which enumerates 2^min(k, n-k) words; the
+        budget still gates on 2^k. The lower bound is the stored designed
+        distance (1 if none is known).
         """
         if self._min_distance is not None:
             return self._min_distance, "exact"
         if self.k == 0:
             return self.n + 1, "exact"  # empty code: no nonzero codeword
         if (1 << self.k) <= codeword_budget:
-            self._min_distance = int(min_nonzero_weight(self.generator_rows, self.n))
+            weights = weight_distribution(self)
+            self._min_distance = next(i for i in range(1, self.n + 1) if weights[i])
             return self._min_distance, "exact"
         return self.designed_distance or 1, "lower_bound"
 
@@ -248,7 +252,7 @@ def from_generator_poly(
 
 
 # ----------------------------------------------------------------------
-# vectorized codeword weight helpers (numpy)
+# codeword tables and weight distributions (numpy)
 # ----------------------------------------------------------------------
 
 def codeword_table(code: LinearCode, max_k: int = 22) -> np.ndarray:
@@ -276,30 +280,62 @@ def _doubling_table(rows: tuple[int, ...] | list[int], k: int) -> np.ndarray:
     return cw
 
 
-def min_nonzero_weight(rows: tuple[int, ...] | list[int], n: int, block_bits: int = 20) -> int:
-    """Minimum weight over all nonzero GF(2) combinations of the rows.
+def _span_weights(rows: tuple[int, ...], n: int, block_bits: int = 20) -> list[int]:
+    """Number of words of each weight 0..n in the GF(2) span of independent rows.
 
-    Enumerates the row span in blocks of 2^block_bits via the doubling
-    construction, so memory stays flat for large k.
+    Enumerates the span in blocks of 2^block_bits via the doubling
+    construction, so memory stays flat for many rows.
     """
-    k = len(rows)
-    if k == 0:
-        raise ValueError("no rows to combine")
-    low = min(k, block_bits)
+    low = min(len(rows), block_bits)
     block = _doubling_table(rows[:low], low)
-    best = n + 1
-    for high in range(1 << (k - low)):
-        acc = 0
-        h = high
-        j = low
-        while h:
-            if h & 1:
-                acc ^= rows[j]
-            h >>= 1
-            j += 1
-        weights = np.bitwise_count(block ^ np.uint64(acc))
-        if high == 0:
-            weights = weights[1:]  # skip the zero codeword
-        if weights.size:
-            best = min(best, int(weights.min()))
-    return best
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for high in range(1 << (len(rows) - low)):
+        weights = np.bitwise_count(block ^ np.uint64(_xor_rows(rows[low:], high)))
+        counts += np.bincount(weights, minlength=n + 1)
+    return [int(c) for c in counts]
+
+
+def _krawtchouk_column(n: int, j: int) -> list[int]:
+    """K_0(j)..K_n(j), where K_i(j) = sum_s (-1)^s C(j, s) C(n - j, i - s).
+
+    These are the coefficients of (1 - z)^j (1 + z)^(n - j); comparing
+    coefficients in (1 - z^2) f' = ((n - 2j) - n z) f gives the recurrence
+    (i + 1) K_{i+1} = (n - 2j) K_i - (n - i + 1) K_{i-1}, whose divisions
+    are exact.
+    """
+    column = [1, n - 2 * j]
+    for i in range(1, n):
+        column.append(((n - 2 * j) * column[i] - (n - i + 1) * column[i - 1]) // (i + 1))
+    return column[: n + 1]
+
+
+def weight_distribution(code: LinearCode) -> tuple[int, ...]:
+    """A_0..A_n, the number of codewords of each weight, exactly.
+
+    Enumerates the smaller of C (2^k words, over the generator rows) and
+    its dual (2^(n-k) words, over the parity-check rows). From the dual's
+    distribution B_j the MacWilliams identity gives
+    A_i = 2^-(n-k) sum_j B_j K_i(j) in integer arithmetic. So the work is
+    2^min(k, n-k) words. Raises AssertionError naming the check if a
+    numerator is not a multiple of 2^(n-k), A_0 != 1 or sum A_i != 2^k.
+    """
+    n, k = code.n, code.k
+    if k <= n - k:
+        weights = _span_weights(code.generator_rows, n)
+    else:
+        numerators = [0] * (n + 1)
+        for j, b in enumerate(_span_weights(code.parity_rows, n)):
+            if b:
+                for i, kij in enumerate(_krawtchouk_column(n, j)):
+                    numerators[i] += b * kij
+        weights = []
+        for i, numerator in enumerate(numerators):
+            a, rest = divmod(numerator, 1 << (n - k))
+            if rest:
+                raise AssertionError(f"MacWilliams numerator of A_{i} is not a multiple of 2^{n - k}")
+            weights.append(a)
+    if weights[0] != 1:
+        raise AssertionError(f"weight distribution has A_0 = {weights[0]}, expected 1")
+    if sum(weights) != 1 << k:
+        raise AssertionError(f"weight distribution sums to {sum(weights)}, expected 2^{k}")
+    return tuple(weights)

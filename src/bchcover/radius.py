@@ -374,7 +374,7 @@ def _digest(key: str, reached: np.ndarray, frontier: np.ndarray, counts: np.ndar
     h = hashlib.sha256()
     h.update(f"{_CHECKPOINT_VERSION},{key},{w},{len(counts)}".encode())
     for part in (counts, reached, frontier):
-        h.update(np.ascontiguousarray(part).tobytes())
+        h.update(np.ascontiguousarray(part))  # hashes the buffer in place, same bytes as .tobytes()
     return h.hexdigest()
 
 

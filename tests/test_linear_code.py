@@ -1,19 +1,24 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
 
+from bchcover import linear_code
+from bchcover.bch import build_bch
 from bchcover.gf2m import BinaryPolynomial
 from bchcover.linear_code import (
     LinearCode,
     Word,
+    _krawtchouk_column,
     codeword_table,
     from_generator_poly,
-    min_nonzero_weight,
+    weight_distribution,
 )
+from bchcover.manifest import TABLE1
 
-from conftest import bch_code, random_code
+from conftest import bch_code, min_nonzero_weight, random_code
 
 HAMMING_G = BinaryPolynomial(0b1011)  # x^3 + x + 1
 
@@ -198,6 +203,7 @@ def test_hamming_weight_distribution():
     for w in code.enumerate_codewords():
         lib[w.weight()] += 1
     assert lib == dist
+    assert list(weight_distribution(code)) == dist  # k = 4 > n - k: from the dual by MacWilliams
 
 
 def test_enumeration_is_gray_ordered():
@@ -253,6 +259,77 @@ def test_min_nonzero_weight_chunked_agrees():
     assert min_nonzero_weight(code.generator_rows, code.n) == brute
     # chunked path (block smaller than k)
     assert min_nonzero_weight(code.generator_rows, code.n, block_bits=4) == brute
+
+
+@pytest.mark.parametrize("row", [r for r in TABLE1 if r.k <= 26], ids=lambda r: f"{r.n}-{r.k}")
+def test_min_distance_matches_enumeration_on_table_rows(row):
+    code = from_generator_poly(bch_code(row.n, row.delta).generator_poly, row.n)  # fresh, no memo
+    assert code.min_distance() == (min_nonzero_weight(code.generator_rows, code.n), "exact")
+
+
+@pytest.mark.parametrize("n,k", [
+    (12, 5), (14, 3), (12, 6), (16, 8), (12, 9), (18, 13), (10, 1), (1, 1), (9, 9), (13, 12),
+])
+def test_weight_distribution_matches_codeword_table(n, k):
+    rng = random.Random(1000 * n + k)
+    for _ in range(3):
+        code = random_code(rng, n, k)
+        brute = np.bincount(np.bitwise_count(codeword_table(code)), minlength=n + 1)
+        assert weight_distribution(code) == tuple(int(a) for a in brute)
+        assert linear_code._span_weights(code.generator_rows, n, block_bits=2) == brute.tolist()  # many blocks
+        assert code.min_distance() == (min(i for i in range(1, n + 1) if brute[i]), "exact")
+
+
+def test_krawtchouk_column_matches_definition():
+    for n in range(1, 13):
+        for j in range(n + 1):
+            definition = [
+                sum((-1) ** s * comb(j, s) * comb(n - j, i - s) for s in range(min(i, j) + 1))
+                for i in range(n + 1)
+            ]
+            assert _krawtchouk_column(n, j) == definition
+
+
+def test_min_distance_enumerates_the_smaller_of_code_and_dual(monkeypatch):
+    enumerated = []
+    span_weights = linear_code._span_weights
+
+    def spy(rows, n):
+        enumerated.append(len(rows))
+        return span_weights(rows, n)
+
+    monkeypatch.setattr(linear_code, "_span_weights", spy)
+    for delta, k in ((3, 26), (5, 21), (11, 11), (15, 6)):
+        code = from_generator_poly(bch_code(31, delta).generator_poly, 31)
+        assert code.k == k
+        code.min_distance()
+        assert enumerated.pop() == min(k, 31 - k)
+
+
+@pytest.mark.parametrize("delta", [3, 5, 7])
+def test_length_63_engine_beyond_the_budget_gate(delta):
+    code, _ = build_bch(63, delta)  # k = 57, 51, 45: duals of 2^6, 2^12, 2^18 words
+    weights = weight_distribution(code)
+    assert next(i for i in range(1, 64) if weights[i]) == delta
+    if delta == 3:
+        assert weights[3] == 63 * 62 // 6  # Hamming code: n(n-1)/6 words of weight 3
+    assert code.min_distance() == (delta, "lower_bound")  # exactness still gated on 2^k
+
+
+def simplex73() -> LinearCode:
+    return LinearCode(list(hamming74().parity_rows), 7)
+
+
+@pytest.mark.parametrize("maker,fake,check", [
+    (hamming74, [1, 0, 0, 0, 0, 0, 0, 0], "not a multiple"),  # dual has only 0: A_1 = 7/8
+    (simplex73, [1, 0, 0, 1, 0, 0, 0, 0], "sums to"),         # 2 words, not 2^3
+    (simplex73, [2, 0, 0, 0, 6, 0, 0, 0], "A_0"),
+])
+def test_weight_distribution_self_checks_name_themselves(monkeypatch, maker, fake, check):
+    code = maker()
+    monkeypatch.setattr(linear_code, "_span_weights", lambda rows, n: list(fake))
+    with pytest.raises(AssertionError, match=check):
+        weight_distribution(code)
 
 
 # ---------------------------------------------------------------------------

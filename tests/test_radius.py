@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -409,6 +410,21 @@ def test_checkpoint_holds_bitsets_not_a_table(tmp_path):
         assert data["reached"].dtype == np.uint64 and data["reached"].shape == (1 << (20 - 6),)
         assert int(np.bitwise_count(data["reached"]).sum()) == sum(int(c) for c in data["counts"])
         assert int(np.bitwise_count(data["frontier"]).sum()) == int(data["counts"][-1])
+
+
+def test_checkpoint_digest_is_sha256_of_its_fields(tmp_path):
+    # format version 2, recomputed from the file alone: SHA-256 over "2,<code key>,<weight>,<strata>"
+    # and then the raw bytes of counts, reached and frontier; the code key hashes n, k and H's columns
+    path = _capped_checkpoint(tmp_path)
+    code = build_bch(31, 11)[0]
+    columns = b"".join(c.to_bytes(8, "little") for c in code.syndrome_columns)
+    key = hashlib.sha256(f"{code.n},{code.k}".encode() + columns).hexdigest()
+    with np.load(path) as data:
+        assert int(data["version"]) == 2
+        assert bytes(data["code_key"]).decode() == key
+        head = f"2,{key},{int(data['weight'])},{len(data['counts'])}".encode()
+        body = b"".join(data[name].tobytes() for name in ("counts", "reached", "frontier"))
+        assert bytes(data["digest"]).decode() == hashlib.sha256(head + body).hexdigest()
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

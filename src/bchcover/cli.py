@@ -26,6 +26,8 @@ def _flag(value: bool) -> str:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    if args.jobs < 1:  # before the header, so a rejected value prints nothing to stdout
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     mismatches: list[str] = []
     print(TABLE_HEADER)
     for row in TABLE1:

@@ -11,31 +11,37 @@ s // 64): ``reached`` holds every syndrome of leader weight <= w and
 
 where translate(x, c)[s] = x[s ^ c]. The high bits ``c >> 6`` permute whole
 words: viewing the words as a ``(2,) * (n-k-6)`` array, they flip one axis
-each. The low bits ``c & 63`` permute bits inside every word by delta swaps
-with fixed masks. Columns are taken in Gray-code order of their low bits, so
-consecutive columns re-swap as few bit groups as possible. For n - k < 6
-the whole space is the low 2^(n-k) bits of one word, which stay closed under
-XOR by any column. The covering radius is the last non-empty stratum.
+each. The low bits ``c & 63`` permute bits inside every word, moving bit p
+to p ^ (c & 63). Bits 3-5 of p name a byte of the word, so a byteswap of the
+words or of their 32-bit halves flips p's bits 3-5 or 3-4 at about the cost
+of one pass; every other bit of p is flipped by a delta swap with a fixed
+mask (five passes). A permutation is applied in chunks of ``_SWAP_CHUNK``
+words that stay in L2 across those passes. Consecutive columns differ by the
+permutation from one's low bits to the next's, and the columns are walked in
+the Gray-code order of their low bits with bits 0-2 ranked on top, so the
+mask-only bits 0-2 change least often. For n - k < 6 the whole space is the
+low 2^(n-k) bits of one word, which stay closed under XOR by any column. The
+covering radius is the last non-empty stratum.
 
 A stratum is computed on one of three paths, chosen from what is known
-before it. The dense path makes about n passes over all 2^(n-k) bits,
-which is what makes the big searches ([31,6]: 2^25 syndromes, [63,36]:
-2^27) run in seconds once the frontier has spread. While at most a quarter
-of the frontier's words are nonzero, the sparse path gathers just those
-words, swaps them, and ORs each column's translate into the accumulator at
-word i ^ (c >> 6), so the thin strata near weight 0 cost in proportion to
-their size. Near the end of the search, when at most half as many
-syndromes are unreached as the frontier holds, the pull path works the
+before it. The dense path makes a few passes over all 2^(n-k) bits per
+column, which is what makes the big searches ([31,6]: 2^25 syndromes,
+[63,36]: 2^27) run in seconds once the frontier has spread. While at most a
+quarter of the frontier's words are nonzero, the sparse path gathers just
+those words, permutes their bits, and ORs each column's translate into the
+accumulator at word i ^ (c >> 6), so the thin strata near weight 0 cost in
+proportion to their size. Near the end of the search, when at most half as
+many syndromes are unreached as the frontier holds, the pull path works the
 other way round: each unreached syndrome is tested against the columns'
-translates of the frontier and leaves at its first hit, so the last
-strata cost in proportion to what is left (``_translate_or`` derives both
-cuts). All three paths give the same stratum. With ``jobs`` > 1 the column
-list is cut into consecutive groups of about equal pass counts; on dense
-strata each thread ORs its group's translates into a private accumulator,
-sparse strata run the groups on the calling thread, and the accumulators
-are OR-reduced. Pull strata walk all columns on the calling thread. OR is
-commutative and associative, so every stratum, and hence the output, is
-bit-identical for any worker count.
+translates of the frontier and leaves at its first hit, so the last strata
+cost in proportion to what is left (``_translate_or`` derives both cuts).
+All three paths give the same stratum. With ``jobs`` > 1 the column walk is
+cut into consecutive groups of about equal modelled cost
+(``_column_groups``); on dense strata each thread ORs its group's
+translates into a private accumulator, sparse strata run the groups on the
+calling thread, and the accumulators are OR-reduced. Pull strata walk all
+columns on the calling thread. OR is commutative and associative, so every
+stratum, and hence the output, is bit-identical for any worker count.
 
 A checkpoint file, if requested, is rewritten after each completed stratum.
 It holds both bitsets (1/8 byte per syndrome each), the counts so far and a
@@ -70,6 +76,14 @@ _SWAP_MASKS = tuple(
         0x00000000FFFFFFFF,
     )
 )
+# Words per chunk of _swap_bits. A mask swap makes five passes over its words,
+# so it pays to keep them in cache: a chunk of 2^15 words (256 KiB) and its tmp
+# use a quarter of a 2 MiB L2. One mask swap over 2^19 words took 1.9 ms
+# unchunked, 1.45 ms in chunks of 2^13 or 2^17 words and 1.1 ms in chunks of
+# 2^14-2^16 (2-core Xeon, numpy 2.4; at 2^18 words 0.88 ms unchunked, 0.53 ms
+# at 2^15), and the dense strata of [31,6] ran fastest at 2^15. Smaller chunks
+# pay numpy's per-call overhead, larger ones miss L2.
+_SWAP_CHUNK = 1 << 15
 _PULL_CHUNK = 1 << 14  # words per chunk of the pull's pending set
 _PULL_CARRY = 256      # a chunk's pending words that wait for the merged columns
 _ORACLE_GUARD_N = 16
@@ -136,26 +150,56 @@ def _gray_rank(g: int) -> int:
     return rank
 
 
+def _moves(d: int) -> tuple[type | None, tuple[int, ...]]:
+    """(view to byteswap or None, mask indices): how ``_swap_bits`` moves bit p to p ^ d.
+
+    Bits 3-5 of p pick its byte in the word. Reversing the 8 bytes of each
+    word maps p -> p ^ 56 and reversing the 4 bytes of each 32-bit half
+    maps p -> p ^ 24, in either byte order. At 2^19 words these byteswaps
+    took 0.3-0.5 and 0.5-0.7 ms against 1.1 ms for a chunked mask swap; a
+    uint16 byteswap (p ^ 8) took 1.8 ms, so bit 3 alone stays a mask swap.
+    The byteswap leaving the fewest of bits 3-5 to mask swaps is taken, none
+    on a tie, so bits 3-5 cost at most one byteswap and one mask swap.
+    """
+    byteswaps = ((0, None), (56, np.uint64), (24, np.uint32))  # (bits of p flipped, view swapped)
+    flipped, view = min(byteswaps, key=lambda b: ((d ^ b[0]) & 56).bit_count())
+    rest = d ^ flipped
+    return view, tuple(j for j in range(6) if rest >> j & 1)
+
+
+_MOVES = tuple(_moves(d) for d in range(64))
+
+
 def _swap_bits(x: np.ndarray, d: int, tmp: np.ndarray) -> None:
-    """x <- x with bit p of every word moved to bit p ^ d (0 <= d < 64), in place."""
-    for j, mask in enumerate(_SWAP_MASKS):
-        if d >> j & 1:
-            shift = np.uint64(1 << j)
-            np.right_shift(x, shift, out=tmp)
-            tmp &= mask
-            x &= mask
-            x <<= shift
-            x |= tmp
+    """x <- x with bit p of every word moved to bit p ^ d (0 <= d < 64), in place.
+
+    ``tmp`` must hold min(len(x), _SWAP_CHUNK) words. Every move of d is
+    applied to one chunk of x before the next chunk, so the chunk stays in
+    cache across its passes.
+    """
+    view, masks = _MOVES[d]
+    for start in range(0, len(x), _SWAP_CHUNK):
+        part = x[start: start + _SWAP_CHUNK]
+        if view is not None:
+            part.view(view).byteswap(inplace=True)
+        t = tmp[: len(part)]
+        for j in masks:
+            mask, shift = _SWAP_MASKS[j], np.uint64(1 << j)
+            np.right_shift(part, shift, out=t)
+            t &= mask
+            part &= mask
+            part <<= shift
+            part |= t
 
 
 class _ColumnGroup:
     """One worker's share of the columns, with its private buffers.
 
-    ``steps`` lists (low bits, high bits, word flips) in Gray-code order of
-    the low bits, so ``scratch`` walks from one in-word permutation to the
-    next. In the ``(1,) + (2,) * axes`` word view, axis 1 + a holds bit
-    axes-1-a of the word index; the leading axis keeps the view an array
-    when axes = 0.
+    ``steps`` lists (low bits, high bits, word flips) in the walk order of
+    ``_column_groups``, so ``scratch`` goes from one in-word permutation to
+    the next; ``tmp`` holds one chunk of ``_swap_bits``. In the
+    ``(1,) + (2,) * axes`` word view, axis 1 + a holds bit axes-1-a of the
+    word index; the leading axis keeps the view an array when axes = 0.
     """
 
     def __init__(self, cols: list[int], axes: int):
@@ -170,7 +214,7 @@ class _ColumnGroup:
         ]
         self.acc = np.empty(words, dtype=np.uint64)
         self.scratch = np.empty(words, dtype=np.uint64)
-        self.tmp = np.empty(words, dtype=np.uint64)
+        self.tmp = np.empty(min(words, _SWAP_CHUNK), dtype=np.uint64)
 
     def translate_or(self, frontier: np.ndarray) -> np.ndarray:
         """acc = OR over this group's columns c of translate(frontier, c)."""
@@ -191,18 +235,17 @@ class _ColumnGroup:
         Only those words are swapped, and word i of the frontier lands in
         word i ^ (c >> 6) of acc. For one column these targets are distinct,
         so a plain gather, OR and scatter is exact. Needs 3 * len(nz) <= the
-        number of words: the values, swap temp, targets and gathered words
-        live in slices of ``scratch`` and ``tmp``.
+        number of words: the values, targets and gathered words live in
+        slices of ``scratch``.
         """
         m = len(nz)
         self.acc.fill(0)
         vals = np.take(frontier, nz, out=self.scratch[:m], mode="clip")
-        swap_tmp = self.tmp[:m]
-        target = self.tmp[m: 2 * m].view(np.intp)
-        gathered = self.tmp[2 * m: 3 * m]
+        target = self.scratch[m: 2 * m].view(np.intp)
+        gathered = self.scratch[2 * m: 3 * m]
         low = 0
         for d, high, _ in self.steps:
-            _swap_bits(vals, d ^ low, swap_tmp)
+            _swap_bits(vals, d ^ low, self.tmp)
             low = d
             np.bitwise_xor(nz, high, out=target)
             np.take(self.acc, target, out=gathered, mode="clip")
@@ -212,27 +255,39 @@ class _ColumnGroup:
 
 
 def _column_groups(code: LinearCode, jobs: int) -> list[_ColumnGroup]:
-    """Cut the Gray-ordered columns into at most ``jobs`` runs of about equal work.
+    """Cut the walk-ordered columns into at most ``jobs`` runs of about equal work.
 
-    A column costs one pass for its OR and five per mask swap (shift, two
-    ANDs, shift, OR; see ``_swap_bits``); each run starts its swaps from
-    low bits 0. Equal column counts would leave the swaps of the high mask
-    bits in one run.
+    The walk sorts the columns by the Gray rank of their low bits, ranked
+    with bits 0-2 on top: only mask swaps move those, and this order changes
+    them least often. Each run starts its moves from low bits 0. Equal
+    column counts would leave the costly moves in one run.
     """
-    cols = sorted(code.syndrome_columns, key=lambda c: (_gray_rank(c & 63), c))
+    cols = sorted(code.syndrome_columns, key=lambda c: (_gray_rank((c & 7) << 3 | (c >> 3) & 7), c))
     axes = max(code.n - code.k - 6, 0)
 
-    def passes(low: int, c: int) -> int:
-        return 1 + 5 * ((c ^ low) & 63).bit_count()
+    # A column costs its strided OR plus the moves from the previous column's
+    # low bits, in half passes over the words. Timed per call at 2^18 and 2^19
+    # words (2-core Xeon, numpy 2.4): an OR whose lowest flipped word-index
+    # bit is 0, 1, 2 or 3 runs over reversed blocks of 1 to 8 words and costs
+    # about 5, 7, 4 or 2 passes, otherwise 1 pass; a chunked mask swap costs
+    # 2.2-2.3 passes, a uint64 byteswap 0.9 and a uint32 byteswap 1.4.
+    or_cost = (10, 14, 8, 4)
+    byteswap_cost = {None: 0, np.uint64: 2, np.uint32: 3}
+
+    def cost(low: int, c: int) -> int:
+        view, masks = _MOVES[(c ^ low) & 63]
+        high = c >> 6
+        lowest = (high & -high).bit_length() - 1  # -1 if the OR flips no words
+        return (or_cost[lowest] if 0 <= lowest < 4 else 2) + byteswap_cost[view] + 5 * len(masks)
 
     parts = min(jobs, len(cols))
-    target = sum(passes(low, c) for low, c in zip([0] + cols, cols)) / parts
+    target = sum(cost(low, c) for low, c in zip([0] + cols, cols)) / parts
     bounds, run, low = [0], 0, 0
     for i, c in enumerate(cols):
-        step = passes(low, c)
+        step = cost(low, c)
         if run and len(bounds) < parts and run + step / 2 > target:
             bounds.append(i)
-            run, step = 0, passes(0, c)
+            run, step = 0, cost(0, c)
         run += step
         low = c & 63
     bounds.append(len(cols))
@@ -244,19 +299,20 @@ def _pull(groups: list[_ColumnGroup], frontier: np.ndarray, reached: np.ndarray)
 
     The result lives in the first group's accumulator. It starts as
     ~reached. Each word with pending (unreached) bits then tries the
-    Gray-ordered columns c: translate(frontier, c) at word i is
-    frontier[i ^ (c >> 6)] with its bits swapped by c & 63. The pending
-    bits are kept swapped to the current column's low bits instead, so a
-    column costs one delta swap of them and one gather. Hits leave the
+    walk-ordered columns c: translate(frontier, c) at word i is
+    frontier[i ^ (c >> 6)] with its bits permuted by c & 63. The pending
+    bits are kept permuted by the current column's low bits instead, so a
+    column costs one permutation of them and one gather. Hits leave the
     pending set, and words with no pending bits are dropped. Bits still
     pending after the last column are cleared from the result.
     """
     steps = [(d, high) for g in groups for d, high, _ in g.steps]
     lows = [0] + [d for d, _ in steps]
     acc = np.invert(reached, out=groups[0].acc)
+    tmp = groups[0].tmp
 
     def step(j: int, idx: np.ndarray, pend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _swap_bits(pend, lows[j] ^ lows[j + 1], np.empty_like(pend))
+        _swap_bits(pend, lows[j] ^ lows[j + 1], tmp)
         hit = np.take(frontier, idx ^ steps[j][1])
         hit &= pend
         pend ^= hit
@@ -264,7 +320,7 @@ def _pull(groups: list[_ColumnGroup], frontier: np.ndarray, reached: np.ndarray)
         return idx[keep], pend[keep]
 
     def clear_misses(idx: np.ndarray, pend: np.ndarray) -> None:
-        _swap_bits(pend, lows[-1], np.empty_like(pend))
+        _swap_bits(pend, lows[-1], tmp)
         acc[idx] ^= pend
 
     # The word range is taken in chunks, so no buffer grows with 2^(n-k). A
@@ -488,8 +544,8 @@ def covering_radius(
                 raise WeightCapExceeded(weight_cap, tuple(counts), total)
             start = perf_counter()
             acc, path = _translate_or(groups, frontier, reached, counts[-1], total - seen, pool)
-            not_reached = np.invert(reached, out=groups[0].tmp)
-            np.bitwise_and(acc, not_reached, out=frontier)
+            acc |= reached  # acc minus reached, without a buffer for ~reached
+            np.bitwise_xor(acc, reached, out=frontier)
             reached |= frontier
             w += 1
             count = int(np.bitwise_count(frontier).sum())

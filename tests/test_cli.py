@@ -120,6 +120,13 @@ def test_radius_rejects_nonpositive_jobs(capsys, jobs):
     assert err.startswith("bchcover: error:") and "jobs" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_table1_rejects_nonpositive_jobs_before_any_output(capsys, jobs):
+    code, out, err = run(capsys, "table1", "--max-n", "7", "--jobs", jobs)
+    assert (code, out) == (1, "")
+    assert err == f"bchcover: error: jobs must be at least 1, got {jobs}\n"
+
+
 # Full `bchcover radius` stdout recorded with the earlier uint8 first-seen-table
 # engine, an independent implementation; the search must reproduce it byte for byte.
 PINNED = [(31, 11, 5), (63, 7, 3), (31, 15, 9), (31, 15, 3)]  # n, delta, a weight cap below R

@@ -245,6 +245,21 @@ def test_pull_stratum_before_the_last_matches_brute_force(monkeypatch, chunk, ca
         assert [e.count for e in events] == [int(np.count_nonzero(leaders == w)) for w in range(1, 9)]
 
 
+@pytest.mark.parametrize("code", _cut_cases() + [pytest.param(_pull_case(), id="pull20-6")])
+def test_swap_chunks_match_brute_force(monkeypatch, code):
+    # The oracle codes have at most 256 words, fewer than one default chunk.
+    # 24-word chunks send the dense, sparse and pull permutations through the
+    # chunk loop, remainders included.
+    monkeypatch.setattr(radius, "_SWAP_CHUNK", 24)
+    counts, deepest = _brute_force_leader_profile(code)
+    for jobs in (1, 3):
+        events = []
+        result = covering_radius(code, jobs=jobs, on_event=events.append)
+        assert result.coset_count_by_weight == counts
+        assert result.deepest_syndrome == Word(deepest, code.n - code.k)
+        assert {e.path for e in events} == {"sparse", "dense", "pull"}
+
+
 def test_checkpoint_around_a_pull_stratum_resumes(tmp_path):
     fresh = covering_radius(_pull_case())
     for cap in (6, 7):  # just before the first pull stratum, and just after it
@@ -262,6 +277,48 @@ def test_last_stratum_of_bch31_6_is_pulled():
     assert result.covering_radius == 11
     assert [e.path for e in events][-1] == "pull"
     assert events[-1].count == 427924
+
+
+def _bits_moved(x: np.ndarray, d: int) -> np.ndarray:
+    """Every word of x with bit p moved to bit p ^ d, one bit at a time."""
+    out = np.zeros_like(x)
+    for p in range(64):
+        out |= ((x >> np.uint64(p)) & np.uint64(1)) << np.uint64(p ^ d)
+    return out
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 8 * 3 + 5], ids=["1", "7", "one-chunk", "chunks-and-rest"])
+def test_swap_bits_moves_bit_p_to_p_xor_d(monkeypatch, length):
+    monkeypatch.setattr(radius, "_SWAP_CHUNK", 8)
+    words = np.random.default_rng(length).integers(0, 2**64, length, dtype=np.uint64)
+    words[0] = 0x0123456789ABCDEF
+    tmp = np.empty(min(length, 8), dtype=np.uint64)
+    for d in range(64):
+        x = words.copy()
+        radius._swap_bits(x, d, tmp)
+        assert np.array_equal(x, _bits_moved(words, d)), d
+
+
+def test_swap_bits_on_an_offset_slice(monkeypatch):
+    # the sparse path permutes a slice of its scratch buffer in place
+    monkeypatch.setattr(radius, "_SWAP_CHUNK", 8)
+    buffer = np.random.default_rng(5).integers(0, 2**64, 40, dtype=np.uint64)
+    tmp = np.empty(8, dtype=np.uint64)
+    for d in range(64):
+        x = buffer.copy()
+        radius._swap_bits(x[3:32], d, tmp)
+        assert np.array_equal(x[3:32], _bits_moved(buffer[3:32], d)), d
+        assert np.array_equal(x[:3], buffer[:3]) and np.array_equal(x[32:], buffer[32:])
+
+
+@pytest.mark.parametrize("n,delta", [(31, 15), (63, 9)])
+def test_column_groups_cover_every_column_once(n, delta):
+    code = bch_code(n, delta)
+    for jobs in range(1, 7):
+        groups = radius._column_groups(code, jobs)
+        assert 1 <= len(groups) <= jobs
+        walked = [d | high << 6 for g in groups for d, high, _ in g.steps]
+        assert sorted(walked) == sorted(code.syndrome_columns)
 
 
 def test_radius_at_least_packing_radius():

@@ -2,9 +2,7 @@
 
 from .bch import (
     BchSpec,
-    CyclotomicCoset,
     build_bch,
-    cyclotomic_cosets,
     generator_polynomial,
     minimal_polynomial,
     multiplicative_order_of_two,
@@ -18,17 +16,11 @@ from .bounds import (
     johnson_general_floor,
     tau_wu,
 )
-from .decode import DecodeResult, bounded_decode, list_decode, ml_decode, revolving_door
+from .decode import DecodeResult, bounded_decode, list_decode, ml_decode
 from .gf2m import BinaryPolynomial, FieldContext, PRIMITIVE_POLYS, make_field
-from .linear_code import LinearCode, Word, codeword_table, from_generator_poly
+from .linear_code import LinearCode, Word, from_generator_poly
 from .manifest import TABLE1, TableRow
-from .radius import (
-    RadiusResult,
-    StratumEvent,
-    WeightCapExceeded,
-    covering_radius,
-    covering_radius_oracle,
-)
+from .radius import RadiusResult, StratumEvent, WeightCapExceeded, covering_radius
 
 __version__ = "0.1.0"
 
@@ -36,7 +28,6 @@ __all__ = [
     "BchSpec",
     "BinaryPolynomial",
     "CoverageReport",
-    "CyclotomicCoset",
     "DecodeResult",
     "FieldContext",
     "LinearCode",
@@ -51,10 +42,7 @@ __all__ = [
     "bounded_decode",
     "build_bch",
     "classify",
-    "codeword_table",
     "covering_radius",
-    "covering_radius_oracle",
-    "cyclotomic_cosets",
     "from_generator_poly",
     "generator_polynomial",
     "johnson_binary_floor",
@@ -65,6 +53,5 @@ __all__ = [
     "minimal_polynomial",
     "ml_decode",
     "multiplicative_order_of_two",
-    "revolving_door",
     "tau_wu",
 ]

@@ -4,6 +4,11 @@ For length n with m = ord_n(2), the code lives in GF(2^m) through the n-th
 root of unity beta = alpha^((2^m - 1)/n); the generator polynomial is the
 lcm of the minimal polynomials of beta^1 .. beta^(delta-1). Non-primitive
 lengths (n < 2^m - 1, e.g. 17 and 23) come out of the same construction.
+
+``coset_of`` walks the doubling orbit of one exponent, ``minimal_polynomial``
+multiplies out the roots of one orbit, ``generator_polynomial`` takes the
+product over the distinct orbits below delta, and ``build_bch`` returns the
+code with its ``BchSpec``.
 """
 
 from __future__ import annotations
@@ -12,17 +17,6 @@ from dataclasses import dataclass
 
 from .gf2m import BinaryPolynomial, FieldContext, make_field
 from .linear_code import DEFAULT_CODEWORD_BUDGET, LinearCode, from_generator_poly
-
-
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    """Orbit of an exponent under doubling mod n."""
-
-    representative: int
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -47,34 +41,14 @@ def multiplicative_order_of_two(n: int) -> int:
     return m
 
 
-def cyclotomic_cosets(n: int) -> list[CyclotomicCoset]:
-    """Partition of Z_n into orbits under doubling, sorted by representative."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
-    seen = [False] * n
-    out = []
-    for r in range(n):
-        if seen[r]:
-            continue
-        members = []
-        x = r
-        while not seen[x]:
-            seen[x] = True
-            members.append(x)
-            x = (2 * x) % n
-        out.append(CyclotomicCoset(r, tuple(sorted(members))))
-    return out
-
-
-def coset_of(n: int, exponent: int) -> CyclotomicCoset:
-    e = exponent % n
-    members = []
-    x = e
+def coset_of(n: int, exponent: int) -> tuple[int, ...]:
+    """The cyclotomic coset of the exponent: its orbit under doubling mod n, sorted."""
+    members: list[int] = []
+    x = exponent % n
     while x not in members:
         members.append(x)
         x = (2 * x) % n
-    members.sort()
-    return CyclotomicCoset(members[0], tuple(members))
+    return tuple(sorted(members))
 
 
 def minimal_polynomial(ctx: FieldContext, exponent: int, n: int) -> BinaryPolynomial:
@@ -87,7 +61,7 @@ def minimal_polynomial(ctx: FieldContext, exponent: int, n: int) -> BinaryPolyno
         raise ValueError(f"GF(2^{ctx.m}) has no element of order {n}")
     step = (ctx.order - 1) // n
     coeffs = [1]  # GF(2^m) coefficients, index = power of x
-    for j in coset_of(n, exponent).members:
+    for j in coset_of(n, exponent):
         root = ctx.alpha_power(step * j)
         nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
@@ -115,7 +89,7 @@ def generator_polynomial(n: int, delta: int) -> BinaryPolynomial:
     g = BinaryPolynomial(1)
     done: set[int] = set()
     for r in range(1, delta):
-        rep = coset_of(n, r).representative
+        rep = coset_of(n, r)[0]
         if rep in done:
             continue
         done.add(rep)

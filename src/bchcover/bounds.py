@@ -7,9 +7,11 @@ The two Johnson radii and the relaxed Wu radius are irrational in general:
     relaxed Wu        eps * t + (1 - eps) * (n - sqrt(n(n-2d))) / 2
 
 Several table rows sit right at integer boundaries, so floors are decided
-by exact integer predicates, never by floating point: tau <= (n/2)(1 - ...)
-iff 2*tau <= n and (n - 2*tau)^2 >= n(n - 2d), and the Wu floor reduces to
-comparing E^2 * D against (C - z*F)^2 with everything an exact integer.
+by exact integer predicates, never by floating point. Each radius has the
+form (C - E*sqrt(D)) / F with integers C, E, D, F, and z <= it iff
+C - z*F >= 0 and E^2 * D <= (C - z*F)^2; one helper finds the largest such
+z for all three. For the binary Johnson radius that reads 2*tau <= n and
+(n - 2*tau)^2 >= n(n - 2d).
 """
 
 from __future__ import annotations
@@ -29,22 +31,14 @@ def johnson_binary_floor(n: int, d: int) -> int:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if 2 * d > n:
         raise ValueError(f"binary Johnson bound undefined for 2d > n (n={n}, d={d})")
-    rad = n * (n - 2 * d)
-    tau = 0
-    while 2 * (tau + 1) <= n and (n - 2 * (tau + 1)) ** 2 >= rad:
-        tau += 1
-    return tau
+    return _floor_linear_minus_sqrt(n, 1, n * (n - 2 * d), 2)
 
 
 def johnson_general_floor(n: int, d: int) -> int:
     """floor of n(1 - sqrt(1 - d/n)); defined for 1 <= d <= n."""
     if n < 1 or not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got n={n}, d={d}")
-    rad = n * (n - d)
-    tau = 0
-    while tau + 1 <= n and (n - (tau + 1)) ** 2 >= rad:
-        tau += 1
-    return tau
+    return _floor_linear_minus_sqrt(n, 1, n * (n - d), 1)
 
 
 def johnson_curve(n: int) -> list[tuple[int, int, int]]:

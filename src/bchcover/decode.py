@@ -48,7 +48,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linear_code import LinearCode, Word, _doubling_table, _rref, _xor_rows
+from .linear_code import LinearCode, Word, _columns, _doubling_table, _rref, _xor_rows
 
 _SPLIT_MAX_N = 40       # side tables of at most 2^20 entries
 
@@ -169,7 +169,7 @@ class _SplitIndex:
         self.nr = n_lookup = code.n - n_needle
         rows, pivots = _rref(list(code.parity_rows), code.n)
         self.rho = sum(p < n_lookup for p in pivots)
-        self.columns = tuple(sum(((h >> i) & 1) << j for j, h in enumerate(rows)) for i in range(code.n))
+        self.columns = _columns(rows, code.n)
         lookup_synd = _doubling_table(self.columns[:n_lookup], n_lookup)
         by_synd = np.argsort(lookup_synd, kind="stable").astype(np.uint64).reshape(1 << self.rho, -1)
         self.lookup = np.ascontiguousarray(by_synd.T)  # gathers and sums run along the long axis
@@ -290,7 +290,7 @@ def ml_decode(
     return _result(code, v.bits, masks, masks[0].bit_count() if masks else cap, strategy)
 
 
-def bounded_decode(code: LinearCode, v: Word, strategy: str = "auto") -> DecodeResult:
+def bounded_decode(code: LinearCode, v: Word) -> DecodeResult:
     """Unique decoding within the packing radius t = floor((d-1)/2).
 
     Returns zero or one entries; needs the exact minimum distance.
@@ -298,4 +298,4 @@ def bounded_decode(code: LinearCode, v: Word, strategy: str = "auto") -> DecodeR
     d, exactness = code.min_distance()
     if exactness != "exact":
         raise ValueError("bounded decoding needs the exact minimum distance")
-    return list_decode(code, v, (d - 1) // 2, strategy=strategy)
+    return list_decode(code, v, (d - 1) // 2)

@@ -70,17 +70,6 @@ class BinaryPolynomial:
             v |= 1 << e
         return cls(v)
 
-    @classmethod
-    def from_text(cls, text: str) -> BinaryPolynomial:
-        """Parse a 0/1 coefficient string, leftmost character = x^0."""
-        if not text or any(c not in "01" for c in text):
-            raise ValueError(f"not a 0/1 coefficient string: {text!r}")
-        v = 0
-        for i, c in enumerate(text):
-            if c == "1":
-                v |= 1 << i
-        return cls(v)
-
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; -inf for the zero polynomial."""
@@ -89,11 +78,6 @@ class BinaryPolynomial:
     @property
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def __add__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return BinaryPolynomial(self.value ^ other.value)
-
-    __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: BinaryPolynomial) -> BinaryPolynomial:
         a, b, r = self.value, other.value, 0
@@ -117,9 +101,6 @@ class BinaryPolynomial:
 
     def __mod__(self, other: BinaryPolynomial) -> BinaryPolynomial:
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return divmod(self, other)[0]
 
     def __str__(self) -> str:
         if self.is_zero:

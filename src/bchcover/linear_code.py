@@ -5,19 +5,24 @@ coordinate i, which is the coefficient of x^i for cyclic codes and the
 leftmost-first character in textual I/O. So the string "1101000" is the
 polynomial 1 + x + x^3.
 
-A LinearCode's matrices are fixed at construction; syndrome computation
-and codeword enumeration are pure, so codes are safe to share across
-workers. Two things stay mutable: the memo of the exact minimum distance,
-filled by the first ``min_distance`` call that can afford it, and
-``label``, which ``build_bch`` sets once that call has run. Results derived
-from a code, such as its covering radius, are values returned to the
-caller and never stored on the code.
+The module holds ``Word``, ``LinearCode`` (generator and parity-check
+rows, ``syndrome_int``, ``codeword_int``, ``min_distance``),
+``from_generator_poly`` for cyclic codes, and ``weight_distribution``,
+which counts the smaller of C and its dual and applies MacWilliams.
+
+A LinearCode's matrices are fixed at construction; syndromes, codewords
+and the weight distribution are pure functions of them, so codes are safe
+to share across workers. Two things stay mutable: the memo of the exact
+minimum distance, filled by the first ``min_distance`` call that can afford
+it, and ``label``, which ``build_bch`` sets once that call has run. Results
+derived from a code, such as its covering radius, are values returned to
+the caller and never stored on the code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -60,14 +65,6 @@ class Word:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def __xor__(self, other: Word) -> Word:
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return Word(self.bits ^ other.bits, self.n)
-
-    def distance(self, other: Word) -> int:
-        return (self ^ other).weight()
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
@@ -98,13 +95,23 @@ def _rref(rows: list[int], n: int) -> tuple[list[int], list[int]]:
     return work, pivots
 
 
+def _columns(rows: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
+    """The n columns of the matrix with these rows: bit j of column i is bit i of rows[j]."""
+    cols = []
+    for i in range(n):
+        v = 0
+        for j, row in enumerate(rows):
+            v |= ((row >> i) & 1) << j
+        cols.append(v)
+    return tuple(cols)
+
+
 class LinearCode:
     """Binary [n, k] linear code from k independent generator rows.
 
     The parity-check matrix is derived from the systematic form (Gaussian
-    elimination with column pivoting); the pivot columns are recorded so H
-    stays in the original coordinate order. G @ H.T = 0 and rank(H) = n - k
-    hold by construction.
+    elimination with column pivoting), with H kept in the original
+    coordinate order. G @ H.T = 0 and rank(H) = n - k hold by construction.
     """
 
     def __init__(
@@ -127,7 +134,6 @@ class LinearCode:
         self.n = n
         self.k = k
         self.generator_rows = tuple(generator_rows)
-        self.pivot_columns = tuple(pivots)
         self.label = label
         self.generator_poly = generator_poly
         self.designed_distance = designed_distance
@@ -142,66 +148,15 @@ class LinearCode:
                     h |= 1 << pcol
             h_rows.append(h)
         self.parity_rows = tuple(h_rows)
-        cols = []
-        for i in range(n):
-            v = 0
-            for j, h in enumerate(h_rows):
-                v |= ((h >> i) & 1) << j
-            cols.append(v)
-        self.syndrome_columns = tuple(cols)
+        self.syndrome_columns = _columns(h_rows, n)
 
-    # ------------------------------------------------------------------
-    # syndromes and membership
-    # ------------------------------------------------------------------
     def syndrome_int(self, bits: int) -> int:
+        """s = H v^T for the word with these bits; zero iff it is a codeword."""
         return _xor_rows(self.syndrome_columns, bits)
 
-    def syndrome(self, v: Word) -> Word:
-        """s = H v^T as a length n-k word; zero iff v is a codeword."""
-        if v.n != self.n:
-            raise ValueError(f"word length {v.n} does not match code length {self.n}")
-        return Word(self.syndrome_int(v.bits), self.n - self.k)
-
-    def contains(self, v: Word) -> bool:
-        return self.syndrome(v).bits == 0
-
-    def coset_representative(self, syndrome: Word) -> Word:
-        """Some word with the given syndrome (bits placed on non-pivot columns)."""
-        if syndrome.n != self.n - self.k:
-            raise ValueError(f"syndrome length {syndrome.n} != n-k = {self.n - self.k}")
-        nonpivots = sorted(set(range(self.n)).difference(self.pivot_columns))
-        bits = 0
-        for j, c in enumerate(nonpivots):
-            if (syndrome.bits >> j) & 1:
-                bits |= 1 << c
-        return Word(bits, self.n)
-
-    # ------------------------------------------------------------------
-    # codeword enumeration
-    # ------------------------------------------------------------------
     def codeword_int(self, message: int) -> int:
         return _xor_rows(self.generator_rows, message)
 
-    def iter_codeword_ints(self) -> Iterator[int]:
-        """All 2^k codewords, Gray-code order over message words.
-
-        Consecutive outputs differ by exactly one generator-row XOR, so the
-        stream is cheap and its order is deterministic.
-        """
-        cw = 0
-        yield cw
-        for i in range(1, 1 << self.k):
-            gray_flip = (i ^ (i >> 1)) ^ ((i - 1) ^ ((i - 1) >> 1))
-            cw ^= self.generator_rows[gray_flip.bit_length() - 1]
-            yield cw
-
-    def enumerate_codewords(self) -> Iterator[Word]:
-        for cw in self.iter_codeword_ints():
-            yield Word(cw, self.n)
-
-    # ------------------------------------------------------------------
-    # minimum distance
-    # ------------------------------------------------------------------
     def min_distance(self, codeword_budget: int = DEFAULT_CODEWORD_BUDGET) -> tuple[int, Exactness]:
         """Exact minimum weight when 2^k fits the budget, else a lower bound.
 
@@ -252,15 +207,8 @@ def from_generator_poly(
 
 
 # ----------------------------------------------------------------------
-# codeword tables and weight distributions (numpy)
+# weight distributions (numpy)
 # ----------------------------------------------------------------------
-
-def codeword_table(code: LinearCode, max_k: int = 22) -> np.ndarray:
-    """All 2^k codewords as a uint64 array, message-index order."""
-    if code.k > max_k:
-        raise ValueError(f"k = {code.k} too large for a full codeword table (max {max_k})")
-    return _doubling_table(code.generator_rows, code.k)
-
 
 def _xor_rows(rows: tuple[int, ...] | list[int], bits: int) -> int:
     """XOR of rows[i] over the set bits i of ``bits``; one entry of ``_doubling_table``."""
@@ -318,8 +266,11 @@ def weight_distribution(code: LinearCode) -> tuple[int, ...]:
     A_i = 2^-(n-k) sum_j B_j K_i(j) in integer arithmetic. So the work is
     2^min(k, n-k) words. Raises AssertionError naming the check if a
     numerator is not a multiple of 2^(n-k), A_0 != 1 or sum A_i != 2^k.
+    Raises ValueError for n > 64: the words are enumerated as uint64.
     """
     n, k = code.n, code.k
+    if n > 64:
+        raise ValueError(f"weight distribution needs n <= 64 (64-bit words), got n = {n}")
     if k <= n - k:
         weights = _span_weights(code.generator_rows, n)
     else:

@@ -47,6 +47,11 @@ A checkpoint file, if requested, is rewritten after each completed stratum.
 It holds both bitsets (1/8 byte per syndrome each), the counts so far and a
 SHA-256 digest over every stored field, so multi-hour runs can resume and
 corrupt, truncated, foreign or outdated files are refused.
+
+The public names are ``covering_radius``, which returns a ``RadiusResult``
+and reports each stratum as a ``StratumEvent`` to ``on_event``, and
+``WeightCapExceeded``. The definitional oracle that checks the search lives
+with the tests, apart from the engine.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linear_code import LinearCode, Word, codeword_table
+from .linear_code import LinearCode, Word
 
 _CHECKPOINT_VERSION = 2  # 1 was the uint8 first-seen table, which carried no version field
 _CHECKPOINT_FIELDS = frozenset({"version", "code_key", "weight", "counts", "reached", "frontier", "digest"})
@@ -86,8 +91,6 @@ _SWAP_MASKS = tuple(
 _SWAP_CHUNK = 1 << 15
 _PULL_CHUNK = 1 << 14  # words per chunk of the pull's pending set
 _PULL_CARRY = 256      # a chunk's pending words that wait for the merged columns
-_ORACLE_GUARD_N = 16
-_ORACLE_GUARD_NK = 30
 
 
 @dataclass(frozen=True)
@@ -577,22 +580,3 @@ def covering_radius(
         coset_count_by_weight=tuple(counts),
         deepest_syndrome=Word(_lowest_set_bit(frontier), nk),
     )
-
-
-def covering_radius_oracle(code: LinearCode) -> int:
-    """Definitional covering radius: max over ambient words of the distance
-    to the nearest codeword, by double enumeration. Guarded to small codes."""
-    if code.n > _ORACLE_GUARD_N or code.n + code.k > _ORACLE_GUARD_NK:
-        raise ValueError(
-            f"oracle needs n <= {_ORACLE_GUARD_N} and n + k <= {_ORACLE_GUARD_NK}; "
-            f"got n={code.n}, k={code.k}"
-        )
-    cw = codeword_table(code, max_k=code.k)
-    radius = 0
-    chunk = max(1, 1 << max(0, 24 - code.k))
-    for start in range(0, 1 << code.n, chunk):
-        block = np.arange(start, min(start + chunk, 1 << code.n), dtype=np.uint64)
-        dmin = np.bitwise_count(block[:, None] ^ cw[None, :]).min(axis=1)
-        radius = max(radius, int(dmin.max()))
-    return radius
-

@@ -5,7 +5,12 @@ import random
 
 import numpy as np
 
-from bchcover import LinearCode, RadiusResult, build_bch, covering_radius
+from bchcover import LinearCode, RadiusResult, Word, build_bch, covering_radius
+
+# The brute-force oracles below share no code with the engines they check:
+# the weight distribution, the split decoding index and the radius search.
+_ORACLE_GUARD_N = 16
+_ORACLE_GUARD_NK = 30
 
 
 @functools.lru_cache(maxsize=None)
@@ -40,20 +45,69 @@ def random_code(rng: random.Random, n: int, k: int) -> LinearCode:
             continue
 
 
+def span_table(rows: tuple[int, ...] | list[int]) -> np.ndarray:
+    """XOR of the rows selected by each mask, as a uint64 array indexed by the mask."""
+    table = np.zeros(1 << len(rows), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        table[1 << i: 2 << i] = table[: 1 << i] ^ np.uint64(row)
+    return table
+
+
+def codeword_table(code: LinearCode, max_k: int = 22) -> np.ndarray:
+    """All 2^k codewords as a uint64 array, message-index order: the decoding oracle."""
+    if code.k > max_k:
+        raise ValueError(f"k = {code.k} too large for a full codeword table (max {max_k})")
+    return span_table(code.generator_rows)
+
+
+def covering_radius_oracle(code: LinearCode) -> int:
+    """Definitional covering radius: max over ambient words of the distance
+    to the nearest codeword, by double enumeration. Guarded to small codes."""
+    if code.n > _ORACLE_GUARD_N or code.n + code.k > _ORACLE_GUARD_NK:
+        raise ValueError(
+            f"oracle needs n <= {_ORACLE_GUARD_N} and n + k <= {_ORACLE_GUARD_NK}; "
+            f"got n={code.n}, k={code.k}"
+        )
+    cw = codeword_table(code, max_k=code.k)
+    radius = 0
+    chunk = max(1, 1 << max(0, 24 - code.k))
+    for start in range(0, 1 << code.n, chunk):
+        block = np.arange(start, min(start + chunk, 1 << code.n), dtype=np.uint64)
+        dmin = np.bitwise_count(block[:, None] ^ cw[None, :]).min(axis=1)
+        radius = max(radius, int(dmin.max()))
+    return radius
+
+
+def word_with_syndrome(code: LinearCode, syndrome: int) -> Word:
+    """Some word whose syndrome is ``syndrome``, by elimination over the columns of H."""
+    basis: list[tuple[int, int]] = []  # (column combination, its word), leading bits distinct, descending
+    for i, col in enumerate(code.syndrome_columns):
+        v, word = col, 1 << i
+        for bv, bword in basis:
+            if v ^ bv < v:  # bv's leading bit is set in v
+                v, word = v ^ bv, word ^ bword
+        if v:
+            basis.append((v, word))
+            basis.sort(reverse=True)
+    s, bits = syndrome, 0
+    for bv, bword in basis:
+        if s ^ bv < s:
+            s, bits = s ^ bv, bits ^ bword
+    assert s == 0 and code.syndrome_int(bits) == syndrome
+    return Word(bits, code.n)
+
+
 def min_nonzero_weight(rows: tuple[int, ...] | list[int], n: int, block_bits: int = 20) -> int:
     """Minimum weight over all nonzero GF(2) combinations of the rows: the brute-force d oracle.
 
     Enumerates all 2^k combinations in blocks of 2^block_bits, each block
-    built by doubling, so memory stays flat for large k. It shares no code
-    with ``weight_distribution``, which it checks.
+    built by ``span_table``, so memory stays flat for large k.
     """
     k = len(rows)
     if k == 0:
         raise ValueError("no rows to combine")
     low = min(k, block_bits)
-    block = np.zeros(1 << low, dtype=np.uint64)
-    for i in range(low):
-        block[1 << i: 2 << i] = block[: 1 << i] ^ np.uint64(rows[i])
+    block = span_table(rows[:low])
     best = n + 1
     for high in range(1 << (k - low)):
         acc = 0

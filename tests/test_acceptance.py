@@ -19,11 +19,11 @@ from bchcover.bch import build_bch
 from bchcover.bounds import classify, johnson_binary_floor, johnson_general_floor, tau_wu
 from bchcover.cli import main as cli_main
 from bchcover.decode import list_decode, ml_decode
-from bchcover.linear_code import Word, codeword_table
+from bchcover.linear_code import Word
 from bchcover.manifest import TABLE1
-from bchcover.radius import covering_radius, covering_radius_oracle
+from bchcover.radius import covering_radius
 
-from conftest import bch_code, radius_result, random_code
+from conftest import bch_code, codeword_table, covering_radius_oracle, radius_result, random_code
 
 LONG_RUNS = os.environ.get("BCHCOVER_LONG") == "1"
 

@@ -3,7 +3,6 @@ import pytest
 from bchcover.bch import (
     build_bch,
     coset_of,
-    cyclotomic_cosets,
     generator_polynomial,
     minimal_polynomial,
     multiplicative_order_of_two,
@@ -19,12 +18,11 @@ from conftest import bch_code
 # ---------------------------------------------------------------------------
 
 def test_coset_of_one_mod_15():
-    assert coset_of(15, 1).members == (1, 2, 4, 8)
+    assert coset_of(15, 1) == (1, 2, 4, 8)
 
 
 def test_coset_of_one_mod_17():
-    coset = coset_of(17, 1)
-    assert coset.members == (1, 2, 4, 8, 9, 13, 15, 16)
+    assert coset_of(17, 1) == (1, 2, 4, 8, 9, 13, 15, 16)
     assert multiplicative_order_of_two(17) == 8
 
 
@@ -35,24 +33,20 @@ def test_coset_of_one_mod_23():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 17, 21, 23, 31, 63])
 def test_cosets_partition(n):
-    cosets = cyclotomic_cosets(n)
-    union = [m for c in cosets for m in c.members]
-    assert sorted(union) == list(range(n))
+    cosets = {coset_of(n, r) for r in range(n)}
+    union = [m for c in cosets for m in c]
+    assert sorted(union) == list(range(n))  # disjoint and covering
     for c in cosets:
-        assert c.representative == min(c.members)
-        for m in c.members:
-            assert (2 * m) % n in c.members  # closed under doubling
-    reps = [c.representative for c in cosets]
-    assert reps == sorted(reps)
+        assert list(c) == sorted(c)
+        assert coset_of(n, c[-1]) == c
+        for m in c:
+            assert (2 * m) % n in c  # closed under doubling
 
 
 def test_even_length_rejected():
-    with pytest.raises(ValueError):
-        cyclotomic_cosets(16)
-    with pytest.raises(ValueError):
-        multiplicative_order_of_two(10)
-    with pytest.raises(ValueError):
-        cyclotomic_cosets(1)
+    for n in (16, 10, 1):
+        with pytest.raises(ValueError):
+            multiplicative_order_of_two(n)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +75,7 @@ def test_minimal_polynomial_vanishes_on_conjugates():
     ctx = make_field(8)
     step = 255 // 17
     p = minimal_polynomial(ctx, 1, 17)
-    for j in coset_of(17, 1).members:
+    for j in coset_of(17, 1):
         assert ctx.eval_poly(p, ctx.alpha_power(step * j)) == 0
 
 

@@ -222,3 +222,20 @@ def test_error_exit_on_even_length(capsys):
     code, _, err = run(capsys, "radius", "--n", "16", "--delta", "3")
     assert code == 1
     assert "odd" in err
+
+
+def test_error_exit_past_64_bit_words(capsys):
+    # [127,15]: 2^15 codewords fit the budget, but a length-127 word does not fit a uint64
+    code, out, err = run(capsys, "classify", "--n", "127", "--delta", "55")
+    assert code == 1 and out == ""
+    assert err.startswith("bchcover: error:") and "64" in err
+
+
+def test_radius_past_64_bit_words_without_exact_d(capsys):
+    # [127,113]: 2^113 codewords are over the budget, so d stays the designed
+    # distance and the 2^14-syndrome search runs as usual
+    code, out, err = run(capsys, "radius", "--n", "127", "--delta", "5")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["R = 3", "code = BCH [127,113,d>=5]"]
+    assert lines[3:7] == ["0,1", "1,127", "2,8001", "3,8255"]

@@ -8,11 +8,11 @@ import pytest
 from bchcover.bch import build_bch
 from bchcover.bounds import johnson_binary_floor
 from bchcover.decode import _split_index, bounded_decode, list_decode, ml_decode
-from bchcover.linear_code import LinearCode, Word, _doubling_table, _rref, codeword_table
+from bchcover.linear_code import LinearCode, Word, _rref
 from bchcover.manifest import TABLE1
 from bchcover.radius import covering_radius
 
-from conftest import bch_code, radius_result, random_code
+from conftest import bch_code, codeword_table, radius_result, random_code, span_table, word_with_syndrome
 
 
 def brute_force_within(code, v: Word, tau: int) -> set[int]:
@@ -43,7 +43,7 @@ def test_hamming_single_error_unique():
     code = bch_code(7, 3)
     c = Word(code.codeword_int(0b0110), 7)
     for i in range(7):
-        v = c ^ Word(1 << i, 7)
+        v = Word(c.bits ^ (1 << i), 7)
         result = list_decode(code, v, 1)
         assert result.entries == ((c, 1),)
 
@@ -83,13 +83,30 @@ def test_strategies_agree():
             assert ml_decode(code, v, strategy="scan") == ml_decode(code, v, strategy="split")
 
 
-def test_strategies_agree_at_full_radius_31_11():
-    # one deliberately heavy cross-check: tau = R = 7 means the scan walks
-    # all 3.6e6 patterns of weight <= 7
+def test_split_at_full_radius_31_11_matches_codeword_oracle():
+    # tau = R = 7: split joins needle parts up to weight 7, checked against
+    # the distances to all 2^11 codewords
     code = bch_code(31, 11)
-    v = Word(random.Random(100).randrange(1 << 31), 31)
     tau = radius_result(31, 11).covering_radius
-    assert list_decode(code, v, tau, strategy="scan") == list_decode(code, v, tau, strategy="split")
+    assert tau == 7
+    cw = codeword_table(code)
+    rng = random.Random(100)
+    for _ in range(5):
+        bits = rng.randrange(1 << 31)
+        dist = np.bitwise_count(cw ^ np.uint64(bits))
+        keep = dist <= tau
+        result = list_decode(code, Word(bits, 31), tau, strategy="split")
+        assert {w.bits: d for w, d in result.entries} == dict(zip(cw[keep].tolist(), dist[keep].tolist()))
+
+
+def test_strategies_agree_at_weight_7_on_23_12():
+    # the scan walks every pattern of weight <= 7, 3.6e5 of them, ten times
+    # fewer than at length 31
+    code = bch_code(23, 5)
+    v = Word(random.Random(100).randrange(1 << 23), 23)
+    scan = list_decode(code, v, 7, strategy="scan")
+    assert scan == list_decode(code, v, 7, strategy="split")
+    assert max(scan.distances) == 7
 
 
 def test_result_ordering_and_dedup():
@@ -163,7 +180,7 @@ def test_split_index_invariants():
         # every lookup mask once, 2^(nr - rho) of them in the column of each syndrome
         assert index.lookup.shape == (1 << (nr - rho), 1 << rho)
         assert np.array_equal(np.sort(index.lookup, axis=None), np.arange(1 << nr, dtype=np.uint64))
-        lookup_synd = _doubling_table(index.columns[:nr], nr)[index.lookup]
+        lookup_synd = span_table(index.columns[:nr])[index.lookup]
         assert np.array_equal(lookup_synd, np.broadcast_to(np.arange(1 << rho), lookup_synd.shape))
         assert np.array_equal(index.lookup_weight, np.bitwise_count(index.lookup))
         assert np.array_equal(index.lightest, index.lookup_weight.min(axis=0))
@@ -174,7 +191,7 @@ def test_split_index_invariants():
         assert np.array_equal(np.sort(needle), np.arange(1 << index.nl, dtype=np.uint64))
         assert np.array_equal(index.needle_weight, np.bitwise_count(needle))
         assert np.array_equal(index.needle_weight, np.repeat(np.arange(index.nl + 1), np.diff(index.start)))
-        assert np.array_equal(_doubling_table(index.columns[nr:], index.nl)[needle], index.needle_synd)
+        assert np.array_equal(span_table(index.columns[nr:])[needle], index.needle_synd)
     for key, value in expected.items():
         assert seen[key] == value
     assert {kernel for kernel, _ in seen.values()} >= {0, 1, 4}
@@ -221,7 +238,7 @@ def test_ml_identity_on_codewords():
 def test_ml_at_a_deep_hole():
     code = bch_code(15, 5)
     deep = covering_radius(code).deepest_syndrome
-    v = code.coset_representative(deep)
+    v = word_with_syndrome(code, deep.bits)
     result = ml_decode(code, v)
     assert result.radius_used == 3  # R for this code
     assert result.distances[0] == 3 == brute_force_nearest(code, v)
@@ -257,7 +274,7 @@ def test_ml_reports_ties():
 def test_ml_respects_weight_cap():
     code = bch_code(15, 5)
     deep = covering_radius(code).deepest_syndrome
-    v = code.coset_representative(deep)  # distance 3 from the code
+    v = word_with_syndrome(code, deep.bits)  # distance 3 from the code
     result = ml_decode(code, v, weight_cap=2)
     assert result.entries == ()
     assert result.radius_used == 2 and result.exhausted
@@ -266,7 +283,7 @@ def test_ml_respects_weight_cap():
 def test_split_ml_below_leader_weight_is_empty():
     for n, delta in [(15, 7), (23, 5), (31, 11)]:
         code = bch_code(n, delta)
-        v = code.coset_representative(covering_radius(code).deepest_syndrome)
+        v = word_with_syndrome(code, covering_radius(code).deepest_syndrome.bits)
         leader = brute_force_nearest(code, v)
         for cap in range(leader):
             result = ml_decode(code, v, weight_cap=cap, strategy="split")
@@ -361,7 +378,7 @@ def test_bounded_corrects_up_to_t():
     for _ in range(50):
         c = Word(code.codeword_int(rng.randrange(1 << 7)), 15)
         i, j = rng.sample(range(15), 2)
-        v = c ^ Word((1 << i) | (1 << j), 15)
+        v = Word(c.bits ^ (1 << i) ^ (1 << j), 15)
         result = bounded_decode(code, v)
         assert result.entries == ((c, 2),)
 
@@ -369,7 +386,7 @@ def test_bounded_corrects_up_to_t():
 def test_bounded_empty_beyond_packing_radius():
     code = bch_code(15, 5)
     deep = covering_radius(code).deepest_syndrome
-    v = code.coset_representative(deep)  # leader weight 3 = t + 1
+    v = word_with_syndrome(code, deep.bits)  # leader weight 3 = t + 1
     assert bounded_decode(code, v).entries == ()
 
 

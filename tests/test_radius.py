@@ -12,14 +12,16 @@ from bchcover.decode import revolving_door
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
 from bchcover.gf2m import BinaryPolynomial
 from bchcover import radius
-from bchcover.radius import (
-    StratumEvent,
-    WeightCapExceeded,
-    covering_radius,
-    covering_radius_oracle,
-)
+from bchcover.radius import StratumEvent, WeightCapExceeded, covering_radius
 
-from conftest import bch_code, radius_result, random_code
+from conftest import (
+    bch_code,
+    codeword_table,
+    covering_radius_oracle,
+    radius_result,
+    random_code,
+    word_with_syndrome,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +114,8 @@ def test_result_invariants(n, delta):
 def test_deepest_syndrome_is_a_deep_hole():
     code = bch_code(15, 5)
     result = covering_radius(code)
-    rep = code.coset_representative(result.deepest_syndrome)
-    brute = min(rep.distance(c) for c in code.enumerate_codewords())
+    rep = word_with_syndrome(code, result.deepest_syndrome.bits)
+    brute = int(np.bitwise_count(codeword_table(code) ^ np.uint64(rep.bits)).min())
     assert brute == result.covering_radius == 3
 
 

@@ -2,12 +2,12 @@
 
 The coset leader weight of a syndrome s is the smallest number of
 parity-check columns that XOR to s. The engine grows the set of reached
-syndromes one weight stratum at a time. Both sets are bitsets over the
-2^(n-k) syndromes, stored as uint64 words (syndrome s is bit s % 64 of word
-s // 64): ``reached`` holds every syndrome of leader weight <= w and
-``frontier`` those of weight exactly w. Then
+syndromes one weight stratum at a time, as one bitset over the 2^(n-k)
+syndromes stored in uint64 words (syndrome s is bit s % 64 of word
+s // 64): ``reached`` holds every syndrome of leader weight <= w. Its
+translates by the columns hold weights <= w+1 only and cover stratum w+1, so
 
-    stratum w+1 = OR over columns c of translate(frontier, c), minus reached,
+    stratum w+1 = OR over columns c of translate(reached, c), minus reached,
 
 where translate(x, c)[s] = x[s ^ c]. The high bits ``c >> 6`` permute whole
 words: viewing the words as a ``(2,) * (n-k-6)`` array, they flip one axis
@@ -26,14 +26,14 @@ covering radius is the last non-empty stratum.
 A stratum is computed on one of three paths, chosen from what is known
 before it. The dense path makes a few passes over all 2^(n-k) bits per
 column, which is what makes the big searches ([31,6]: 2^25 syndromes,
-[63,36]: 2^27) run in seconds once the frontier has spread. While at most a
-quarter of the frontier's words are nonzero, the sparse path gathers just
-those words, permutes their bits, and ORs each column's translate into the
-accumulator at word i ^ (c >> 6), so the thin strata near weight 0 cost in
-proportion to their size. Near the end of the search, when at most half as
-many syndromes are unreached as the frontier holds, the pull path works the
+[63,36]: 2^27) run in seconds once ``reached`` has spread. While at most a
+quarter of its words are nonzero, the sparse path gathers just those words,
+permutes their bits, and ORs each column's translate into the accumulator
+at word i ^ (c >> 6), so the thin strata near weight 0 cost in proportion
+to their size. Near the end of the search, when at most half as many
+syndromes are unreached as the last stratum holds, the pull path works the
 other way round: each unreached syndrome is tested against the columns'
-translates of the frontier and leaves at its first hit, so the last strata
+translates of ``reached`` and leaves at its first hit, so the last strata
 cost in proportion to what is left (``_translate_or`` derives both cuts).
 All three paths give the same stratum. With ``jobs`` > 1 the column walk is
 cut into consecutive groups of about equal modelled cost
@@ -43,10 +43,12 @@ calling thread, and the accumulators are OR-reduced. Pull strata walk all
 columns on the calling thread. OR is commutative and associative, so every
 stratum, and hence the output, is bit-identical for any worker count.
 
-A checkpoint file, if requested, is rewritten after each completed stratum.
-It holds both bitsets (1/8 byte per syndrome each), the counts so far and a
-SHA-256 digest over every stored field, so multi-hour runs can resume and
-corrupt, truncated, foreign or outdated files are refused.
+A checkpoint file, if requested, is rewritten after each stratum that
+leaves syndromes unreached. It holds ``reached`` (1/8 byte per syndrome),
+the counts so far and a SHA-256 digest over every stored field, so
+multi-hour runs can resume and corrupt, truncated, foreign or outdated
+files are refused. A completed search keeps its file of stratum R-1, and
+resuming from it recomputes only the last stratum.
 
 The public names are ``covering_radius``, which returns a ``RadiusResult``
 and reports each stratum as a ``StratumEvent`` to ``on_event``, and
@@ -68,8 +70,8 @@ import numpy as np
 
 from .linear_code import LinearCode, Word
 
-_CHECKPOINT_VERSION = 2  # 1 was the uint8 first-seen table, which carried no version field
-_CHECKPOINT_FIELDS = frozenset({"version", "code_key", "weight", "counts", "reached", "frontier", "digest"})
+_CHECKPOINT_VERSION = 3  # 1 was the uint8 first-seen table, without a version field; 2 also stored the last stratum
+_CHECKPOINT_FIELDS = frozenset({"version", "code_key", "weight", "counts", "reached", "digest"})
 _SWAP_MASKS = tuple(
     np.uint64(m)
     for m in (
@@ -114,7 +116,8 @@ class StratumEvent(NamedTuple):
     is the number of syndromes reached so far. ``path`` is "sparse", "dense"
     or "pull" (see the module docstring). ``seconds`` covers the stratum's
     search, ``checkpoint_seconds`` and ``checkpoint_bytes`` the checkpoint
-    written after it (0 and 0 without a checkpoint).
+    written after it (0 and 0 without a checkpoint, and after the last
+    stratum, which is not written).
     """
 
     weight: int
@@ -219,10 +222,10 @@ class _ColumnGroup:
         self.scratch = np.empty(words, dtype=np.uint64)
         self.tmp = np.empty(min(words, _SWAP_CHUNK), dtype=np.uint64)
 
-    def translate_or(self, frontier: np.ndarray) -> np.ndarray:
-        """acc = OR over this group's columns c of translate(frontier, c)."""
+    def translate_or(self, bits: np.ndarray) -> np.ndarray:
+        """acc = OR over this group's columns c of translate(bits, c)."""
         self.acc.fill(0)
-        np.copyto(self.scratch, frontier)
+        np.copyto(self.scratch, bits)
         acc = self.acc.reshape(self.shape)
         scratch = self.scratch.reshape(self.shape)
         low = 0
@@ -232,10 +235,10 @@ class _ColumnGroup:
             np.bitwise_or(acc, scratch[flips], out=acc)
         return self.acc
 
-    def translate_or_sparse(self, frontier: np.ndarray, nz: np.ndarray) -> np.ndarray:
-        """translate_or for a frontier whose nonzero words are at ``nz``.
+    def translate_or_sparse(self, bits: np.ndarray, nz: np.ndarray) -> np.ndarray:
+        """translate_or for ``bits`` whose nonzero words are at ``nz``.
 
-        Only those words are swapped, and word i of the frontier lands in
+        Only those words are swapped, and word i of ``bits`` lands in
         word i ^ (c >> 6) of acc. For one column these targets are distinct,
         so a plain gather, OR and scatter is exact. Needs 3 * len(nz) <= the
         number of words: the values, targets and gathered words live in
@@ -243,7 +246,7 @@ class _ColumnGroup:
         """
         m = len(nz)
         self.acc.fill(0)
-        vals = np.take(frontier, nz, out=self.scratch[:m], mode="clip")
+        vals = np.take(bits, nz, out=self.scratch[:m], mode="clip")
         target = self.scratch[m: 2 * m].view(np.intp)
         gathered = self.scratch[2 * m: 3 * m]
         low = 0
@@ -297,13 +300,14 @@ def _column_groups(code: LinearCode, jobs: int) -> list[_ColumnGroup]:
     return [_ColumnGroup(cols[a:b], axes) for a, b in zip(bounds, bounds[1:])]
 
 
-def _pull(groups: list[_ColumnGroup], frontier: np.ndarray, reached: np.ndarray) -> np.ndarray:
+def _pull(groups: list[_ColumnGroup], reached: np.ndarray) -> np.ndarray:
     """The next stratum, found by testing the unreached syndromes.
 
     The result lives in the first group's accumulator. It starts as
     ~reached. Each word with pending (unreached) bits then tries the
-    walk-ordered columns c: translate(frontier, c) at word i is
-    frontier[i ^ (c >> 6)] with its bits permuted by c & 63. The pending
+    walk-ordered columns c: translate(reached, c) at word i is
+    reached[i ^ (c >> 6)] with its bits permuted by c & 63. An unreached
+    syndrome hits it only if it lies in the next stratum. The pending
     bits are kept permuted by the current column's low bits instead, so a
     column costs one permutation of them and one gather. Hits leave the
     pending set, and words with no pending bits are dropped. Bits still
@@ -316,7 +320,7 @@ def _pull(groups: list[_ColumnGroup], frontier: np.ndarray, reached: np.ndarray)
 
     def step(j: int, idx: np.ndarray, pend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _swap_bits(pend, lows[j] ^ lows[j + 1], tmp)
-        hit = np.take(frontier, idx ^ steps[j][1])
+        hit = np.take(reached, idx ^ steps[j][1])
         hit &= pend
         pend ^= hit
         keep = np.flatnonzero(pend)
@@ -357,25 +361,24 @@ def _pull(groups: list[_ColumnGroup], frontier: np.ndarray, reached: np.ndarray)
 
 def _translate_or(
     groups: list[_ColumnGroup],
-    frontier: np.ndarray,
     reached: np.ndarray,
-    frontier_count: int,
+    last_count: int,
     unreached: int,
     pool: ThreadPoolExecutor | None,
 ) -> tuple[np.ndarray, str]:
     """(acc, path): the bits of acc outside ``reached`` are the next stratum.
 
     ``path`` is "pull", "sparse" or "dense". The sparse and dense paths OR
-    all columns' translates of the frontier; the pull tests only the
+    all columns' translates of ``reached``; the pull tests only the
     ``unreached`` syndromes. acc is the first group's accumulator.
     """
     # The pull costs a gather and a delta swap per pending word and column
     # tried. A word that will be reached drops out after a few columns, but a
     # word holding a syndrome of leader weight above the new stratum's tries
     # every column, so the pull pays off only near the end of the search,
-    # where little is left and the frontier is large. Both paths timed on the
-    # same frontiers (2-core Xeon, numpy 2.4, dense vs pull, U unreached
-    # syndromes and F in the frontier before stratum w):
+    # where little is left and the last stratum is large. Both paths timed on
+    # the same strata (2-core Xeon, numpy 2.4, dense vs pull, U unreached
+    # syndromes and F = last_count in the last stratum before stratum w):
     #   pulled, 2U <= F: [63,45] w=5 (U/F 0.37) 1.5 vs 0.39 ms, [31,6] w=11
     #   (0.052) 74 vs 6.7 ms, [63,39] w=7 (0.015) 80 vs 3.8 ms, [63,36] w=8
     #   (0.0043) 776 vs 23 ms, [63,36] w=9 (0.0006) 209 ms sparse vs 12 ms;
@@ -388,9 +391,9 @@ def _translate_or(
     # ran at least 3.8x faster than dense. The worst case is a stratum above
     # the cut at n = 63 that stays dense: [63,36] w=7, 0.55 s slower than a
     # pull.
-    if 2 * unreached <= frontier_count:
-        return _pull(groups, frontier, reached), "pull"
-    # Both paths do the same swaps per frontier word. On top of that the
+    if 2 * unreached <= last_count:
+        return _pull(groups, reached), "pull"
+    # Both paths do the same swaps per word translated. On top of that the
     # sparse path does a gather, an OR and a scatter per nonzero word and
     # column, the dense path one strided OR per word and column. Measured on
     # a 2-core Xeon (numpy 2.4, [31,6] and [63,39]) the sparse path costs
@@ -399,22 +402,26 @@ def _translate_or(
     # crossover, and leaves room for the sparse path's 3 * nnz words of
     # buffers inside each group's tmp. Sparse strata run on the calling
     # thread: the pool did not speed them up.
-    if 4 * np.count_nonzero(frontier) <= len(frontier):
-        nz = np.flatnonzero(frontier)
-        accs, path = [g.translate_or_sparse(frontier, nz) for g in groups], "sparse"
+    if 4 * np.count_nonzero(reached) <= len(reached):
+        nz = np.flatnonzero(reached)
+        accs, path = [g.translate_or_sparse(reached, nz) for g in groups], "sparse"
     elif pool is None:
-        accs, path = [g.translate_or(frontier) for g in groups], "dense"
+        accs, path = [g.translate_or(reached) for g in groups], "dense"
     else:
-        accs, path = list(pool.map(lambda g: g.translate_or(frontier), groups)), "dense"
+        accs, path = list(pool.map(lambda g: g.translate_or(reached), groups)), "dense"
     for other in accs[1:]:
         accs[0] |= other
     return accs[0], path
 
 
-def _lowest_set_bit(bits: np.ndarray) -> int:
-    i = int(np.flatnonzero(bits)[0])
-    word = int(bits[i])
-    return 64 * i + (word & -word).bit_length() - 1
+def _lowest_zero_bit(bits: np.ndarray) -> int:
+    """Lowest clear bit of a bitset that has one, read a chunk at a time."""
+    for start in range(0, len(bits), _SWAP_CHUNK):
+        open_words = np.flatnonzero(~bits[start: start + _SWAP_CHUNK])
+        if len(open_words):
+            i = start + int(open_words[0])
+            free = ~int(bits[i])
+            return 64 * i + (free & -free).bit_length() - 1
 
 
 # ----------------------------------------------------------------------
@@ -429,17 +436,15 @@ def _code_key(code: LinearCode) -> str:
     return h.hexdigest()
 
 
-def _digest(key: str, reached: np.ndarray, frontier: np.ndarray, counts: np.ndarray, w: int) -> str:
+def _digest(key: str, reached: np.ndarray, counts: np.ndarray, w: int) -> str:
     h = hashlib.sha256()
     h.update(f"{_CHECKPOINT_VERSION},{key},{w},{len(counts)}".encode())
-    for part in (counts, reached, frontier):
+    for part in (counts, reached):
         h.update(np.ascontiguousarray(part))  # hashes the buffer in place, same bytes as .tobytes()
     return h.hexdigest()
 
 
-def _save_checkpoint(
-    path: str, code: LinearCode, reached: np.ndarray, frontier: np.ndarray, counts: list[int], w: int
-) -> None:
+def _save_checkpoint(path: str, code: LinearCode, reached: np.ndarray, counts: list[int], w: int) -> None:
     key = _code_key(code)
     stored = np.asarray(counts, dtype=np.int64)
     tmp = path + ".tmp.npz"  # .npz suffix keeps numpy from renaming the temp file
@@ -450,16 +455,13 @@ def _save_checkpoint(
         weight=np.int64(w),
         counts=stored,
         reached=reached,
-        frontier=frontier,
-        digest=np.bytes_(_digest(key, reached, frontier, stored, w).encode()),
+        digest=np.bytes_(_digest(key, reached, stored, w).encode()),
     )
     os.replace(tmp, path)
 
 
-def _load_checkpoint(
-    path: str, code: LinearCode, words: int
-) -> tuple[np.ndarray, np.ndarray, list[int], int] | None:
-    """(reached, frontier, counts, weight) from ``path``; None if there is no file.
+def _load_checkpoint(path: str, code: LinearCode, words: int) -> tuple[np.ndarray, list[int], int] | None:
+    """(reached, counts, weight) from ``path``; None if there is no file.
 
     Raises ValueError naming the path for any file this search cannot
     resume from.
@@ -486,14 +488,12 @@ def _load_checkpoint(
     key = bytes(stored["code_key"]).decode(errors="replace")
     if key != _code_key(code):
         raise ValueError(f"checkpoint {path} belongs to a different code")
-    reached, frontier, counts = stored["reached"], stored["frontier"], stored["counts"]
-    w = int(stored["weight"])
-    if bytes(stored["digest"]).decode(errors="replace") != _digest(key, reached, frontier, counts, w):
+    reached, counts, w = stored["reached"], stored["counts"], int(stored["weight"])
+    if bytes(stored["digest"]).decode(errors="replace") != _digest(key, reached, counts, w):
         raise ValueError(f"checkpoint {path} is corrupt (digest mismatch)")
-    for name, bits in (("reached", reached), ("frontier", frontier)):
-        if bits.dtype != np.uint64 or bits.shape != (words,):
-            raise ValueError(f"checkpoint {path}: {name} is {bits.dtype}{bits.shape}, expected uint64({words},)")
-    return reached, frontier, [int(c) for c in counts], w
+    if reached.dtype != np.uint64 or reached.shape != (words,):
+        raise ValueError(f"checkpoint {path}: reached is {reached.dtype}{reached.shape}, expected uint64({words},)")
+    return reached, [int(c) for c in counts], w
 
 
 # ----------------------------------------------------------------------
@@ -528,17 +528,16 @@ def covering_radius(
 
     resumed = _load_checkpoint(checkpoint_path, code, words) if checkpoint_path else None
     if resumed is not None:
-        reached, frontier, counts, w = resumed
+        reached, counts, w = resumed
         if w > weight_cap:
             raise WeightCapExceeded(weight_cap, tuple(counts[: weight_cap + 1]), total)
     else:
         reached = np.zeros(words, dtype=np.uint64)
         reached[0] = 1
-        frontier = reached.copy()
         counts = [1]
         w = 0
 
-    seen = sum(counts)
+    seen, deepest = sum(counts), 0
     groups = _column_groups(code, jobs) if seen < total else []
     pool = ThreadPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else None
     try:
@@ -546,20 +545,21 @@ def covering_radius(
             if w >= weight_cap:
                 raise WeightCapExceeded(weight_cap, tuple(counts), total)
             start = perf_counter()
-            acc, path = _translate_or(groups, frontier, reached, counts[-1], total - seen, pool)
-            acc |= reached  # acc minus reached, without a buffer for ~reached
-            np.bitwise_xor(acc, reached, out=frontier)
-            reached |= frontier
+            acc, path = _translate_or(groups, reached, counts[-1], total - seen, pool)
+            acc |= reached  # the pull returns the stratum alone, and at w = 0 no translate holds 0
             w += 1
-            count = int(np.bitwise_count(frontier).sum())
+            count = int(np.bitwise_count(acc).sum()) - seen
             if count == 0:
                 raise AssertionError("stratum empty before full coverage (H not full rank?)")
+            if seen + count == total:  # the last stratum holds every syndrome still unreached
+                deepest = _lowest_zero_bit(reached)
+            np.copyto(reached, acc)
             counts.append(count)
             seen += count
             searched = perf_counter()
             saved, size = searched, 0
-            if checkpoint_path:
-                _save_checkpoint(checkpoint_path, code, reached, frontier, counts, w)
+            if checkpoint_path and seen < total:
+                _save_checkpoint(checkpoint_path, code, reached, counts, w)
                 saved, size = perf_counter(), os.path.getsize(checkpoint_path)
             if on_event is not None:
                 on_event(StratumEvent(
@@ -578,5 +578,5 @@ def covering_radius(
     return RadiusResult(
         covering_radius=w,
         coset_count_by_weight=tuple(counts),
-        deepest_syndrome=Word(_lowest_set_bit(frontier), nk),
+        deepest_syndrome=Word(deepest, nk),
     )

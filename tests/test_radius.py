@@ -175,13 +175,29 @@ def _leader_cases():
 
 
 @pytest.mark.parametrize("code", _leader_cases())
-def test_engine_matches_brute_force_across_word_boundary(code):
+def test_engine_matches_brute_force_across_word_boundary(code, tmp_path):
     counts, deepest = _brute_force_leader_profile(code)
+    R = len(counts) - 1
+    expected = radius.RadiusResult(R, counts, Word(deepest, code.n - code.k))
     for jobs in (1, 3):
-        result = covering_radius(code, jobs=jobs)
-        assert result.coset_count_by_weight == counts
-        assert result.covering_radius == len(counts) - 1
-        assert result.deepest_syndrome == Word(deepest, code.n - code.k)
+        assert covering_radius(code, jobs=jobs) == expected
+    # stopped at every cap below R and resumed; each completed run keeps the file of
+    # stratum R - 1, the last one that leaves syndromes unreached
+    for cap in range(1, R):
+        path = str(tmp_path / f"cap{cap}.npz")
+        with pytest.raises(WeightCapExceeded) as info:
+            covering_radius(code, weight_cap=cap, jobs=3, checkpoint_path=path)
+        assert info.value.counts_so_far == counts[: cap + 1]
+        assert covering_radius(code, checkpoint_path=path) == expected
+        with np.load(path) as data:
+            assert int(data["weight"]) == R - 1
+    path = tmp_path / "complete.npz"
+    assert covering_radius(code, checkpoint_path=str(path)) == expected
+    if R >= 2:
+        with np.load(path) as data:
+            assert int(data["weight"]) == R - 1
+    else:
+        assert not path.exists()  # no stratum left syndromes unreached
 
 
 def _cut_cases():
@@ -210,12 +226,12 @@ def test_sparse_and_dense_strata_match_brute_force(code):
         assert paths.count("sparse") >= 2 and paths.count("dense") >= 1 and paths[-1] == "pull"
         for e in events:
             # the cuts: stratum w is pulled iff at most half as many syndromes are unreached
-            # as stratum w-1 holds, else grown sparsely iff stratum w-1 fills at most a
-            # quarter of the words
-            frontier = np.flatnonzero(leaders == e.weight - 1)
+            # as stratum w-1 holds, else grown sparsely iff the syndromes of leader weight
+            # <= w-1 fill at most a quarter of the words
+            last = int(np.count_nonzero(leaders == e.weight - 1))
             unreached = int(np.count_nonzero(leaders >= e.weight))
-            occupied = len(np.unique(frontier >> 6))
-            if 2 * unreached <= len(frontier):
+            occupied = len(np.unique(np.flatnonzero(leaders <= e.weight - 1) >> 6))
+            if 2 * unreached <= last:
                 assert e.path == "pull"
             else:
                 assert e.path == ("sparse" if 4 * occupied <= words else "dense")
@@ -461,28 +477,47 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
 
 
+def test_checkpoint_refuses_version_2_file(tmp_path):
+    # the version-2 layout also stored the last stratum as "frontier", and its digest covered it
+    path = _capped_checkpoint(tmp_path, cap=2)
+    with np.load(path) as data:
+        before = data["reached"]
+    _capped_checkpoint(tmp_path, cap=3)
+    with np.load(path) as data:
+        fields = {name: data[name] for name in data.files}
+    fields["version"] = np.int64(2)
+    fields["frontier"] = fields["reached"] ^ before
+    head = f"2,{bytes(fields['code_key']).decode()},{int(fields['weight'])},{len(fields['counts'])}".encode()
+    body = b"".join(fields[name].tobytes() for name in ("counts", "reached", "frontier"))
+    fields["digest"] = np.bytes_(hashlib.sha256(head + body).hexdigest().encode())
+    np.savez(path, **fields)
+    raw = open(path, "rb").read()
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} has format version 2")):
+        covering_radius(build_bch(31, 11)[0], checkpoint_path=path)
+    assert open(path, "rb").read() == raw
+
+
 def test_checkpoint_holds_bitsets_not_a_table(tmp_path):
     path = _capped_checkpoint(tmp_path)
     with np.load(path) as data:
-        assert "table" not in data.files
-        assert int(data["version"]) >= 2
+        assert sorted(data.files) == ["code_key", "counts", "digest", "reached", "version", "weight"]
+        assert int(data["version"]) == 3
         assert data["reached"].dtype == np.uint64 and data["reached"].shape == (1 << (20 - 6),)
         assert int(np.bitwise_count(data["reached"]).sum()) == sum(int(c) for c in data["counts"])
-        assert int(np.bitwise_count(data["frontier"]).sum()) == int(data["counts"][-1])
 
 
 def test_checkpoint_digest_is_sha256_of_its_fields(tmp_path):
-    # format version 2, recomputed from the file alone: SHA-256 over "2,<code key>,<weight>,<strata>"
-    # and then the raw bytes of counts, reached and frontier; the code key hashes n, k and H's columns
+    # format version 3, recomputed from the file alone: SHA-256 over "3,<code key>,<weight>,<strata>"
+    # and then the raw bytes of counts and reached; the code key hashes n, k and H's columns
     path = _capped_checkpoint(tmp_path)
     code = build_bch(31, 11)[0]
     columns = b"".join(c.to_bytes(8, "little") for c in code.syndrome_columns)
     key = hashlib.sha256(f"{code.n},{code.k}".encode() + columns).hexdigest()
     with np.load(path) as data:
-        assert int(data["version"]) == 2
+        assert int(data["version"]) == 3
         assert bytes(data["code_key"]).decode() == key
-        head = f"2,{key},{int(data['weight'])},{len(data['counts'])}".encode()
-        body = b"".join(data[name].tobytes() for name in ("counts", "reached", "frontier"))
+        head = f"3,{key},{int(data['weight'])},{len(data['counts'])}".encode()
+        body = b"".join(data[name].tobytes() for name in ("counts", "reached"))
         assert bytes(data["digest"]).decode() == hashlib.sha256(head + body).hexdigest()
 
 
@@ -497,7 +532,7 @@ def test_weight_cap_below_resumed_checkpoint(tmp_path):
     with pytest.raises(WeightCapExceeded) as info:
         covering_radius(build_bch(31, 7)[0], weight_cap=4, checkpoint_path=path)
     assert info.value.counts_so_far == (1, 31, 465, 4495, 13020)
-    for _ in range(2):  # a checkpoint at weight 4, then the completed one at R = 5
+    for _ in range(2):  # the file stays at weight 4: a completed search keeps stratum R - 1
         with pytest.raises(WeightCapExceeded) as info:
             covering_radius(build_bch(31, 7)[0], weight_cap=2, checkpoint_path=path)
         err = info.value
@@ -531,8 +566,9 @@ def test_stratum_events(tmp_path):
     resumed = []
     covering_radius(code, checkpoint_path=str(path), on_event=resumed.append)
     assert [e.weight for e in resumed] == [2, 3]  # strata loaded from the file are not reported
-    assert all(e.checkpoint_bytes > 0 and e.checkpoint_seconds > 0 for e in resumed)
-    assert resumed[-1].checkpoint_bytes == path.stat().st_size
+    assert all(e.checkpoint_bytes > 0 and e.checkpoint_seconds > 0 for e in resumed[:-1])
+    assert resumed[-1].checkpoint_bytes == 0 and resumed[-1].checkpoint_seconds == 0  # the last is not written
+    assert resumed[-2].checkpoint_bytes == path.stat().st_size
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -119,7 +119,6 @@ class LinearCode:
         generator_rows: list[int],
         n: int,
         label: str = "",
-        generator_poly: BinaryPolynomial | None = None,
         designed_distance: int | None = None,
     ) -> None:
         k = len(generator_rows)
@@ -135,7 +134,6 @@ class LinearCode:
         self.k = k
         self.generator_rows = tuple(generator_rows)
         self.label = label
-        self.generator_poly = generator_poly
         self.designed_distance = designed_distance
         self._min_distance: int | None = None  # exact, once computed
 
@@ -201,9 +199,7 @@ def from_generator_poly(
     if k <= 0:
         raise ValueError(f"degenerate code: deg g = {int(g.degree)} leaves k = {k}")
     rows = [g.value << i for i in range(k)]
-    return LinearCode(
-        rows, n, label=label, generator_poly=g, designed_distance=designed_distance
-    )
+    return LinearCode(rows, n, label=label, designed_distance=designed_distance)
 
 
 # ----------------------------------------------------------------------

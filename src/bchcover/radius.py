@@ -44,11 +44,14 @@ columns on the calling thread. OR is commutative and associative, so every
 stratum, and hence the output, is bit-identical for any worker count.
 
 A checkpoint file, if requested, is rewritten after each stratum that
-leaves syndromes unreached. It holds ``reached`` (1/8 byte per syndrome),
-the counts so far and a SHA-256 digest over every stored field, so
-multi-hour runs can resume and corrupt, truncated, foreign or outdated
-files are refused. A completed search keeps its file of stratum R-1, and
-resuming from it recomputes only the last stratum.
+leaves syndromes unreached, through ``<path>.tmp`` and an atomic rename. It
+is one flat file (format version 4): the header line ``bchcover-radius 4
+<code key> <weight> <count_0> ... <count_weight>``, the words of ``reached``
+as little-endian uint64 (1/8 byte per syndrome), and the SHA-256 of every
+byte before it. So multi-hour runs can resume, and corrupt, truncated,
+foreign or outdated files (the ``.npz`` archives of versions 1-3) are
+refused. A completed search keeps its file of stratum R-1, and resuming
+from it recomputes only the last stratum.
 
 The public names are ``covering_radius``, which returns a ``RadiusResult``
 and reports each stratum as a ``StratumEvent`` to ``on_event``, and
@@ -60,7 +63,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -70,8 +72,12 @@ import numpy as np
 
 from .linear_code import LinearCode, Word
 
-_CHECKPOINT_VERSION = 3  # 1 was the uint8 first-seen table, without a version field; 2 also stored the last stratum
-_CHECKPOINT_FIELDS = frozenset({"version", "code_key", "weight", "counts", "reached", "digest"})
+_CHECKPOINT_MAGIC = "bchcover-radius"
+_CHECKPOINT_VERSION = 4  # 1-3 were .npz archives: 1 a uint8 first-seen table, 2 two bitsets, 3 reached alone
+# Bytes read for the header line. A written header has at most n - k + 1 <= 33
+# counts below 2^32, about 450 bytes; the bound keeps a foreign file without a
+# newline from being read whole.
+_CHECKPOINT_HEADER_MAX = 1024
 _SWAP_MASKS = tuple(
     np.uint64(m)
     for m in (
@@ -436,28 +442,17 @@ def _code_key(code: LinearCode) -> str:
     return h.hexdigest()
 
 
-def _digest(key: str, reached: np.ndarray, counts: np.ndarray, w: int) -> str:
-    h = hashlib.sha256()
-    h.update(f"{_CHECKPOINT_VERSION},{key},{w},{len(counts)}".encode())
-    for part in (counts, reached):
-        h.update(np.ascontiguousarray(part))  # hashes the buffer in place, same bytes as .tobytes()
-    return h.hexdigest()
-
-
-def _save_checkpoint(path: str, code: LinearCode, reached: np.ndarray, counts: list[int], w: int) -> None:
-    key = _code_key(code)
-    stored = np.asarray(counts, dtype=np.int64)
-    tmp = path + ".tmp.npz"  # .npz suffix keeps numpy from renaming the temp file
-    np.savez(
-        tmp,
-        version=np.int64(_CHECKPOINT_VERSION),
-        code_key=np.bytes_(key.encode()),
-        weight=np.int64(w),
-        counts=stored,
-        reached=reached,
-        digest=np.bytes_(_digest(key, reached, stored, w).encode()),
-    )
+def _save_checkpoint(path: str, code: LinearCode, reached: np.ndarray, counts: list[int], w: int) -> int:
+    """Write the checkpoint through ``path + ".tmp"`` and an atomic rename; returns its size in bytes."""
+    head = " ".join(map(str, (_CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, _code_key(code), w, *counts))).encode() + b"\n"
+    words = reached.astype("<u8", copy=False)  # a view on little-endian hosts
+    digest = hashlib.sha256(head)
+    digest.update(words)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        size = sum(fh.write(part) for part in (head, words, digest.digest()))
     os.replace(tmp, path)
+    return size
 
 
 def _load_checkpoint(path: str, code: LinearCode, words: int) -> tuple[np.ndarray, list[int], int] | None:
@@ -468,32 +463,35 @@ def _load_checkpoint(path: str, code: LinearCode, words: int) -> tuple[np.ndarra
     """
     if not os.path.exists(path):
         return None
-    try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
-            stored = {name: data[name] for name in data.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"checkpoint {path} is unreadable ({exc})") from exc
-    if "version" not in stored:
-        kind = "the old uint8-table format" if "table" in stored else "no format version"
-        raise ValueError(f"checkpoint {path} has {kind}; delete it to restart the search")
-    version = int(stored["version"])
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint {path} has format version {version}, expected {_CHECKPOINT_VERSION}")
-    missing = sorted(_CHECKPOINT_FIELDS - stored.keys())
-    if missing:
-        raise ValueError(f"checkpoint {path} lacks fields {missing}")
-    key = bytes(stored["code_key"]).decode(errors="replace")
-    if key != _code_key(code):
+    with open(path, "rb") as fh:
+        head = fh.readline(_CHECKPOINT_HEADER_MAX)
+        fields = head.split()
+        if fields[:1] != [_CHECKPOINT_MAGIC.encode()]:
+            kind = "an .npz checkpoint of format versions 1-3" if head.startswith(b"PK") else "not a radius checkpoint"
+            raise ValueError(f"checkpoint {path} is {kind}; delete it to restart the search")
+        version = b"".join(fields[1:2]).decode(errors="replace") or "none"
+        if version != str(_CHECKPOINT_VERSION):
+            raise ValueError(f"checkpoint {path} has format version {version}, expected {_CHECKPOINT_VERSION}")
+        reached = np.fromfile(fh, dtype="<u8", count=words)
+        stored = fh.read(33)  # the digest: short or empty if the file is short, 33 bytes if it is long
+    digest = hashlib.sha256(head)
+    digest.update(reached)
+    if stored != digest.digest():
+        raise ValueError(f"checkpoint {path} is corrupt, truncated or sized for another code (digest mismatch)")
+    if fields[2:3] != [_code_key(code).encode()]:
         raise ValueError(f"checkpoint {path} belongs to a different code")
-    reached, counts, w = stored["reached"], stored["counts"], int(stored["weight"])
-    if bytes(stored["digest"]).decode(errors="replace") != _digest(key, reached, counts, w):
-        raise ValueError(f"checkpoint {path} is corrupt (digest mismatch)")
-    if reached.dtype != np.uint64 or reached.shape != (words,):
-        raise ValueError(f"checkpoint {path}: reached is {reached.dtype}{reached.shape}, expected uint64({words},)")
-    return reached, [int(c) for c in counts], w
+    total = 1 << (code.n - code.k)
+    try:
+        w, *counts = map(int, fields[3:])
+        fits = len(counts) == w + 1 > 0 and sum(counts) == int(np.bitwise_count(reached).sum()) < total
+    except ValueError:  # a field that is not a number, or no weight
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"checkpoint {path} has counts that fit no unfinished search "
+            f"(need weight + 1 of them, summing to the bits set in reached, below {total})"
+        )
+    return reached, counts, w
 
 
 # ----------------------------------------------------------------------
@@ -559,8 +557,8 @@ def covering_radius(
             searched = perf_counter()
             saved, size = searched, 0
             if checkpoint_path and seen < total:
-                _save_checkpoint(checkpoint_path, code, reached, counts, w)
-                saved, size = perf_counter(), os.path.getsize(checkpoint_path)
+                size = _save_checkpoint(checkpoint_path, code, reached, counts, w)
+                saved = perf_counter()
             if on_event is not None:
                 on_event(StratumEvent(
                     weight=w,

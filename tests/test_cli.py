@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bchcover.cli import main
@@ -107,6 +108,17 @@ def test_radius_checkpoint_roundtrip(capsys, tmp_path):
     assert second == first
 
 
+def test_radius_refuses_an_npz_checkpoint(capsys, tmp_path):
+    ckpt = tmp_path / "r.ckpt"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, reached=np.zeros(4, dtype=np.uint64))  # the container of format versions 1-3
+    raw = ckpt.read_bytes()
+    code, out, err = run(capsys, "radius", "--n", "17", "--delta", "3", "--checkpoint", str(ckpt))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"bchcover: error: checkpoint {ckpt} is an .npz checkpoint of format versions 1-3")
+    assert ckpt.read_bytes() == raw
+
+
 def test_radius_jobs_do_not_change_output(capsys):
     baseline = run(capsys, "radius", "--n", "17", "--delta", "3")
     for jobs in ("2", "5"):
@@ -138,7 +150,7 @@ def test_radius_output_pinned_across_jobs_and_resume(capsys, tmp_path, n, delta,
     argv = ["radius", "--n", str(n), "--delta", str(delta)]
     for jobs in ("1", "2", "5"):
         assert run(capsys, *argv, "--jobs", jobs) == (0, expected, "")
-    ckpt = str(tmp_path / "r.npz")
+    ckpt = str(tmp_path / "r.ckpt")
     code, out, err = run(capsys, *argv, "--jobs", "2", "--checkpoint", ckpt, "--weight-cap", str(cap))
     assert code == 1 and out == "" and f"R > {cap}" in err
     assert run(capsys, *argv, "--checkpoint", ckpt) == (0, expected, "")

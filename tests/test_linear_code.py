@@ -221,7 +221,7 @@ def test_min_nonzero_weight_chunked_agrees():
 
 @pytest.mark.parametrize("row", [r for r in TABLE1 if r.k <= 26], ids=lambda r: f"{r.n}-{r.k}")
 def test_min_distance_matches_enumeration_on_table_rows(row):
-    code = from_generator_poly(bch_code(row.n, row.delta).generator_poly, row.n)  # fresh, no memo
+    code = from_generator_poly(BinaryPolynomial(bch_code(row.n, row.delta).generator_rows[0]), row.n)  # fresh, no memo
     assert code.min_distance() == (min_nonzero_weight(code.generator_rows, code.n), "exact")
 
 
@@ -258,7 +258,7 @@ def test_min_distance_enumerates_the_smaller_of_code_and_dual(monkeypatch):
 
     monkeypatch.setattr(linear_code, "_span_weights", spy)
     for delta, k in ((3, 26), (5, 21), (11, 11), (15, 6)):
-        code = from_generator_poly(bch_code(31, delta).generator_poly, 31)
+        code = from_generator_poly(BinaryPolynomial(bch_code(31, delta).generator_rows[0]), 31)
         assert code.k == k
         code.min_distance()
         assert enumerated.pop() == min(k, 31 - k)

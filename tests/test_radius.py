@@ -1,7 +1,9 @@
 import hashlib
 import math
+import os
 import random
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ def test_search_leaves_the_code_unchanged(tmp_path):
     for jobs in (1, 2):
         assert covering_radius(code, jobs=jobs).covering_radius == 3
         assert vars(code) == before
-        path = str(tmp_path / f"jobs{jobs}.npz")
+        path = str(tmp_path / f"jobs{jobs}.ckpt")
         assert covering_radius(code, jobs=jobs, checkpoint_path=path).covering_radius == 3
         assert vars(code) == before
     with pytest.raises(WeightCapExceeded):
@@ -184,18 +186,16 @@ def test_engine_matches_brute_force_across_word_boundary(code, tmp_path):
     # stopped at every cap below R and resumed; each completed run keeps the file of
     # stratum R - 1, the last one that leaves syndromes unreached
     for cap in range(1, R):
-        path = str(tmp_path / f"cap{cap}.npz")
+        path = str(tmp_path / f"cap{cap}.ckpt")
         with pytest.raises(WeightCapExceeded) as info:
             covering_radius(code, weight_cap=cap, jobs=3, checkpoint_path=path)
         assert info.value.counts_so_far == counts[: cap + 1]
         assert covering_radius(code, checkpoint_path=path) == expected
-        with np.load(path) as data:
-            assert int(data["weight"]) == R - 1
-    path = tmp_path / "complete.npz"
+        assert _read_checkpoint(path).weight == R - 1
+    path = tmp_path / "complete.ckpt"
     assert covering_radius(code, checkpoint_path=str(path)) == expected
     if R >= 2:
-        with np.load(path) as data:
-            assert int(data["weight"]) == R - 1
+        assert _read_checkpoint(path).weight == R - 1
     else:
         assert not path.exists()  # no stratum left syndromes unreached
 
@@ -281,7 +281,7 @@ def test_swap_chunks_match_brute_force(monkeypatch, code):
 def test_checkpoint_around_a_pull_stratum_resumes(tmp_path):
     fresh = covering_radius(_pull_case())
     for cap in (6, 7):  # just before the first pull stratum, and just after it
-        path = str(tmp_path / f"cap{cap}.npz")
+        path = str(tmp_path / f"cap{cap}.ckpt")
         with pytest.raises(WeightCapExceeded):
             covering_radius(_pull_case(), weight_cap=cap, checkpoint_path=path)
         resumed = []
@@ -410,23 +410,54 @@ def test_checkpoint_rejects_other_code(tmp_path):
     code, _ = build_bch(15, 5)
     covering_radius(code, checkpoint_path=path)
     other, _ = build_bch(15, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}")):
         covering_radius(other, checkpoint_path=path)
+    same_size = random_code(random.Random(1), 15, 7)  # n - k = 8 as in bch15-7, other columns
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} belongs to a different code")):
+        covering_radius(same_size, checkpoint_path=path)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
     path = str(tmp_path / "radius.ckpt")
     code, _ = build_bch(15, 5)
     covering_radius(code, checkpoint_path=path)
-    raw = bytearray(open(path, "rb").read())
-    raw[len(raw) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
-    with pytest.raises(ValueError, match="checkpoint"):
-        covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
+    raw = open(path, "rb").read()
+    flipped = bytearray(raw)
+    flipped[len(raw) // 2] ^= 0xFF
+    for bad in (bytes(flipped), raw + b"\0"):  # a flipped bit; a byte past the digest
+        open(path, "wb").write(bad)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}")):
+            covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
+
+
+class _Checkpoint(NamedTuple):
+    version: int
+    code_key: str
+    weight: int
+    counts: list[int]
+    reached: np.ndarray
+
+
+def _read_checkpoint(path) -> _Checkpoint:
+    """Parse a format-4 checkpoint apart from the engine: a header line
+    "bchcover-radius 4 <code key> <weight> <counts...>", the little-endian
+    uint64 words of reached, then the 32-byte digest."""
+    raw = open(path, "rb").read()
+    head, rest = raw.split(b"\n", 1)
+    magic, version, key, weight, *counts = head.decode().split(" ")
+    assert magic == "bchcover-radius"
+    reached = np.frombuffer(rest[:-32], dtype="<u8")
+    return _Checkpoint(int(version), key, int(weight), [int(c) for c in counts], reached)
+
+
+def _write_checkpoint(path, head: str, reached: np.ndarray) -> None:
+    """A format-4 file with this header line and a valid digest."""
+    signed = head.encode() + b"\n" + reached.astype("<u8").tobytes()
+    open(path, "wb").write(signed + hashlib.sha256(signed).digest())
 
 
 def _capped_checkpoint(tmp_path, n=31, delta=11, cap=3):
-    path = str(tmp_path / "radius.npz")
+    path = str(tmp_path / "radius.ckpt")
     with pytest.raises(WeightCapExceeded):
         covering_radius(build_bch(n, delta)[0], weight_cap=cap, checkpoint_path=path)
     return path
@@ -443,11 +474,10 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
 
 def test_checkpoint_rejects_tampered_counts(tmp_path):
     path = _capped_checkpoint(tmp_path)
-    with np.load(path) as data:
-        fields = {name: data[name] for name in data.files}
-    fields["counts"] = fields["counts"].copy()
-    fields["counts"][-1] -= 1
-    np.savez(path, **fields)
+    ckpt = _read_checkpoint(path)
+    head, rest = open(path, "rb").read().split(b"\n", 1)
+    tampered = head.rsplit(b" ", 1)[0] + b" %d" % (ckpt.counts[-1] - 1)
+    open(path, "wb").write(tampered + b"\n" + rest)  # the old words and the old digest
     with pytest.raises(ValueError, match="digest"):
         covering_radius(build_bch(31, 11)[0], checkpoint_path=path)
 
@@ -462,8 +492,10 @@ def test_checkpoint_rejects_old_table_format(tmp_path):
         code_key=np.bytes_(b"0" * 64),
         digest=np.bytes_(b"0" * 64),
     )
-    with pytest.raises(ValueError, match="old uint8-table format"):
+    raw = open(path, "rb").read()
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} is an .npz checkpoint of format versions 1-3")):
         covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
+    assert open(path, "rb").read() == raw
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -477,48 +509,104 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         covering_radius(build_bch(15, 5)[0], checkpoint_path=path)
 
 
-def test_checkpoint_refuses_version_2_file(tmp_path):
-    # the version-2 layout also stored the last stratum as "frontier", and its digest covered it
+def _npz_checkpoint(tmp_path, version):
+    """Rewrite a capped [31,11] checkpoint as the .npz archive of format version 2 or 3, digest included.
+
+    Version 3 stored reached and the counts; version 2 also stored the last stratum as "frontier",
+    and its digest covered it. Both digests were SHA-256 over "<version>,<code key>,<weight>,<strata>"
+    and then the raw bytes of the arrays.
+    """
     path = _capped_checkpoint(tmp_path, cap=2)
-    with np.load(path) as data:
-        before = data["reached"]
+    before = _read_checkpoint(path).reached.copy()
     _capped_checkpoint(tmp_path, cap=3)
-    with np.load(path) as data:
-        fields = {name: data[name] for name in data.files}
-    fields["version"] = np.int64(2)
-    fields["frontier"] = fields["reached"] ^ before
-    head = f"2,{bytes(fields['code_key']).decode()},{int(fields['weight'])},{len(fields['counts'])}".encode()
-    body = b"".join(fields[name].tobytes() for name in ("counts", "reached", "frontier"))
+    ckpt = _read_checkpoint(path)
+    fields = {
+        "version": np.int64(version),
+        "code_key": np.bytes_(ckpt.code_key.encode()),
+        "weight": np.int64(ckpt.weight),
+        "counts": np.array(ckpt.counts, dtype=np.int64),
+        "reached": ckpt.reached.astype(np.uint64),
+    }
+    if version == 2:
+        fields["frontier"] = fields["reached"] ^ before
+    head = f"{version},{ckpt.code_key},{ckpt.weight},{len(ckpt.counts)}".encode()
+    body = b"".join(fields[name].tobytes() for name in ("counts", "reached", "frontier") if name in fields)
     fields["digest"] = np.bytes_(hashlib.sha256(head + body).hexdigest().encode())
-    np.savez(path, **fields)
+    with open(path, "wb") as fh:  # a file handle keeps numpy from adding ".npz" to the name
+        np.savez(fh, **fields)
+    return path
+
+
+def test_checkpoint_refuses_version_2_file(tmp_path):
+    path = _npz_checkpoint(tmp_path, 2)
     raw = open(path, "rb").read()
-    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} has format version 2")):
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} is an .npz checkpoint of format versions 1-3")):
+        covering_radius(build_bch(31, 11)[0], checkpoint_path=path)
+    assert open(path, "rb").read() == raw
+
+
+def test_checkpoint_refuses_version_3_file(tmp_path):
+    path = _npz_checkpoint(tmp_path, 3)
+    raw = open(path, "rb").read()
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} is an .npz checkpoint of format versions 1-3")):
         covering_radius(build_bch(31, 11)[0], checkpoint_path=path)
     assert open(path, "rb").read() == raw
 
 
 def test_checkpoint_holds_bitsets_not_a_table(tmp_path):
     path = _capped_checkpoint(tmp_path)
-    with np.load(path) as data:
-        assert sorted(data.files) == ["code_key", "counts", "digest", "reached", "version", "weight"]
-        assert int(data["version"]) == 3
-        assert data["reached"].dtype == np.uint64 and data["reached"].shape == (1 << (20 - 6),)
-        assert int(np.bitwise_count(data["reached"]).sum()) == sum(int(c) for c in data["counts"])
+    raw = open(path, "rb").read()
+    ckpt = _read_checkpoint(path)
+    assert ckpt.version == 4 and ckpt.weight == 3 and len(ckpt.counts) == 4
+    assert len(raw) == raw.index(b"\n") + 1 + 8 * (1 << (20 - 6)) + 32
+    assert len(ckpt.reached) == 1 << (20 - 6)
+    assert int(np.bitwise_count(ckpt.reached).sum()) == sum(ckpt.counts)
 
 
 def test_checkpoint_digest_is_sha256_of_its_fields(tmp_path):
-    # format version 3, recomputed from the file alone: SHA-256 over "3,<code key>,<weight>,<strata>"
-    # and then the raw bytes of counts and reached; the code key hashes n, k and H's columns
+    # recomputed from the file alone: the last 32 bytes are the SHA-256 of every byte before them,
+    # and the code key hashes n, k and H's columns
     path = _capped_checkpoint(tmp_path)
     code = build_bch(31, 11)[0]
     columns = b"".join(c.to_bytes(8, "little") for c in code.syndrome_columns)
     key = hashlib.sha256(f"{code.n},{code.k}".encode() + columns).hexdigest()
-    with np.load(path) as data:
-        assert int(data["version"]) == 3
-        assert bytes(data["code_key"]).decode() == key
-        head = f"3,{key},{int(data['weight'])},{len(data['counts'])}".encode()
-        body = b"".join(data[name].tobytes() for name in ("counts", "reached"))
-        assert bytes(data["digest"]).decode() == hashlib.sha256(head + body).hexdigest()
+    raw = open(path, "rb").read()
+    assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+    ckpt = _read_checkpoint(path)
+    assert ckpt.version == 4 and ckpt.code_key == key
+
+
+def test_checkpoint_refuses_complete_or_inconsistent_counts(tmp_path):
+    # files with valid digests, so only the count check can refuse them
+    code = build_bch(15, 7)[0]
+    fresh = covering_radius(code)
+    counts, R = fresh.coset_count_by_weight, fresh.covering_radius
+    path = _capped_checkpoint(tmp_path, 15, 7, cap=R - 1)
+    real = _read_checkpoint(path)
+    full = np.full(1 << (10 - 6), ~np.uint64(0))
+    cases = (
+        (R, counts, full),  # all 2^(n-k) syndromes
+        (R - 2, counts[:R], full),  # one count too many
+        (real.weight, real.counts[:-1] + [real.counts[-1] - 1], real.reached),  # one syndrome short of reached
+    )
+    for weight, stored, reached in cases:
+        _write_checkpoint(path, " ".join(map(str, ("bchcover-radius 4", real.code_key, weight, *stored))), reached)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} has counts that fit no unfinished search")):
+            covering_radius(code, checkpoint_path=path)
+    # the same writer with the counts the search wrote: resumed, so only the counts were refused
+    _write_checkpoint(path, " ".join(map(str, ("bchcover-radius 4", real.code_key, real.weight, *real.counts))),
+                      real.reached)
+    assert covering_radius(code, checkpoint_path=path) == fresh
+
+
+def test_stale_temp_file_does_not_stop_a_capped_run(tmp_path):
+    path = str(tmp_path / "radius.ckpt")
+    open(path + ".tmp", "wb").write(b"PK\x03\x04 cut off mid-write" * 1000)
+    code = build_bch(31, 11)[0]
+    with pytest.raises(WeightCapExceeded):
+        covering_radius(code, weight_cap=3, checkpoint_path=path)
+    assert not os.path.exists(path + ".tmp") and _read_checkpoint(path).weight == 3
+    assert covering_radius(code, checkpoint_path=path) == covering_radius(code)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -528,7 +616,7 @@ def test_jobs_must_be_positive(jobs):
 
 
 def test_weight_cap_below_resumed_checkpoint(tmp_path):
-    path = str(tmp_path / "radius.npz")
+    path = str(tmp_path / "radius.ckpt")
     with pytest.raises(WeightCapExceeded) as info:
         covering_radius(build_bch(31, 7)[0], weight_cap=4, checkpoint_path=path)
     assert info.value.counts_so_far == (1, 31, 465, 4495, 13020)
@@ -559,7 +647,7 @@ def test_stratum_events(tmp_path):
     with pytest.raises(AttributeError):
         events[0].weight = 7  # frozen
 
-    path = tmp_path / "radius.npz"
+    path = tmp_path / "radius.ckpt"
     with pytest.raises(WeightCapExceeded):
         covering_radius(code, weight_cap=1, checkpoint_path=str(path), on_event=events.append)
     assert events[-1].weight == 1 and events[-1].checkpoint_bytes == path.stat().st_size
@@ -573,7 +661,7 @@ def test_stratum_events(tmp_path):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_checkpoint_written_at_a_sparse_stratum_resumes(tmp_path, jobs):
-    path = str(tmp_path / "radius.npz")
+    path = str(tmp_path / "radius.ckpt")
     fresh = covering_radius(build_bch(31, 11)[0])
     events = []
     with pytest.raises(WeightCapExceeded):

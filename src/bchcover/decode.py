@@ -13,23 +13,30 @@ are cut into a lookup side 0..nr-1 (nr = n - n // 2) and a needle side
 nr..n-1. If rho pivots lie below nr, every lookup pattern has an
 H'-syndrome below 2^rho, because the other rows vanish there, and each
 such value has exactly 2^(nr - rho) lookup patterns. So the lookup side
-is stored as a table with one column per syndrome value, and the needle
-side ordered by weight. A needle part of H'-syndrome u completes a
-pattern of syndrome s iff y = u ^ s < 2^rho, and then the patterns are
-column y of the table: one XOR and one compare per needle part, no search.
+is stored as a table with one column per syndrome value. A needle part of
+H'-syndrome u completes a pattern of syndrome s iff y = u ^ s < 2^rho,
+that is iff u >> rho equals s >> rho, and then the patterns are column y
+of the table. So the needle side is stored in groups by u >> rho (the
+2^(n - k - rho) cosets of one subspace, all of one size), each ordered by
+weight, with the offset of every weight class. A query reads group
+s >> rho up to its weight cut as one contiguous slice, and XOR with
+s mod 2^rho turns the slice's syndromes into table columns: no compare,
+no search.
 
-  list_decode(tau)  joins every needle part of weight <= tau and keeps
-                    the patterns of weight <= tau. Weights are summed
-                    first; only kept patterns are assembled.
-  ml_decode(cap)    joins the needle parts of weight <= cap and <= the
-                    weight of one pattern of the coset read off the
-                    pivots of H', and keeps the patterns of least weight
-                    if it is <= cap; that weight never exceeds the
-                    covering radius.
+  list_decode(tau)  joins every needle part of weight <= tau in the group
+                    and keeps the patterns of weight <= tau. Weights are
+                    summed first; only kept patterns are assembled.
+  ml_decode(cap)    joins the needle parts of the group of weight <= cap
+                    and <= the weight of one pattern of the coset read off
+                    the pivots of H', and keeps the patterns of least
+                    weight if it is <= cap; that weight never exceeds the
+                    covering radius. When that slice meets many lookup
+                    masks, it first keeps only the parts whose lightest
+                    completion has the least weight.
 
-The index (2^nr + 2^(n - nr) entries) is built by the first query on a
-code and kept in a weak cache keyed by the code, so it lives as long as
-the code.
+The index (2^nr + 2^(n - nr) entries, plus (n - nr + 1) offsets per
+group) is built by the first query on a code and kept in a weak cache
+keyed by the code, so it lives as long as the code.
 
 Longer codes are decoded by ``scan``: patterns of weight 0..tau in
 revolving-door order, carrying the syndrome along with two column XORs per
@@ -42,8 +49,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import accumulate
-from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -51,6 +56,11 @@ import numpy as np
 from .linear_code import LinearCode, Word, _columns, _doubling_table, _rref, _xor_rows
 
 _SPLIT_MAX_N = 40       # side tables of at most 2^20 entries
+# ML weighs every (needle part, lookup mask) pair only up to this many pairs, and above it
+# first each part with its column's lightest mask. Timed per query on table and random codes
+# with n in 20..31 (2-core Xeon, numpy 2.4): weighing all pairs is 3-8 us faster below 2^10
+# pairs, the two break even between 2^10 and 2^11, and the narrowing is 1.3-13x faster above 2^12.
+_WEIGH_ALL_MAX = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,14 @@ def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int, s
         return mask.bit_count(), text_order
 
     masks.sort(key=key)
-    entries = [(Word(v_bits ^ mask, code.n), mask.bit_count()) for mask in masks]
+    entries = []
+    for mask in masks:
+        # v_bits ^ mask is in range: fill the frozen Word's fields without __init__'s range check
+        word = object.__new__(Word)
+        fields = word.__dict__
+        fields["bits"] = v_bits ^ mask
+        fields["n"] = code.n
+        entries.append((word, mask.bit_count()))
     return DecodeResult(entries=tuple(entries), radius_used=radius_used, exhausted=True, strategy=strategy)
 
 
@@ -157,11 +174,14 @@ def _scan_matches(code: LinearCode, target: int, tau: int, stop_at_first_weight:
 # ----------------------------------------------------------------------
 
 class _SplitIndex:
-    """The lookup side grouped by H'-syndrome, the needle side ordered by weight.
+    """The lookup side grouped by H'-syndrome, the needle side by its H'-syndrome bits above rho.
 
     ``columns`` are the columns of H'. Column s of ``lookup`` lists the
-    2^(nr - rho) lookup masks of H'-syndrome s; needle class a is
-    ``[start[a], start[a + 1])``.
+    2^(nr - rho) lookup masks of H'-syndrome s. Group g of the needle side
+    holds the ``group_size`` needle parts whose H'-syndrome shifted right by
+    rho is g, from g * group_size on, ordered by weight; the first
+    ``upto[g, w]`` of them have weight <= w. ``needle_col`` is their
+    H'-syndrome mod 2^rho.
     """
 
     def __init__(self, code: LinearCode):
@@ -173,37 +193,53 @@ class _SplitIndex:
         lookup_synd = _doubling_table(self.columns[:n_lookup], n_lookup)
         by_synd = np.argsort(lookup_synd, kind="stable").astype(np.uint64).reshape(1 << self.rho, -1)
         self.lookup = np.ascontiguousarray(by_synd.T)  # gathers and sums run along the long axis
+        del lookup_synd, by_synd  # 2^nr words each: free them before the needle side's temporaries
         self.lookup_weight = np.bitwise_count(self.lookup)
         self.lightest = self.lookup_weight.min(axis=0)
+        # The rows of H' past rho have their unit pivot columns on the needle side, so the
+        # groups are the 2^(n-k-rho) cosets of one subspace: all of the same size.
+        groups = 1 << (code.n - code.k - self.rho)
+        self.group_size = (1 << n_needle) // groups
+        needle_cols = self.columns[n_lookup:]
+        low = (1 << self.rho) - 1
+        needle_col = _doubling_table([c & low for c in needle_cols], n_needle, np.intp)
         needle_weight = np.bitwise_count(np.arange(1 << n_needle, dtype=np.uint64))
-        order = np.argsort(needle_weight, kind="stable")
+        # class (g, w) of each part as g * (nl + 1) + w, in the narrowest unsigned type, so
+        # one stable argsort (a radix sort up to 16 bits) puts the parts in group-major order
+        classes = groups * (n_needle + 1)
+        cls = _doubling_table([c >> self.rho for c in needle_cols], n_needle, np.min_scalar_type(classes - 1))
+        cls *= n_needle + 1
+        cls += needle_weight
+        order = np.argsort(cls, kind="stable")
         self.needle_mask = order.astype(np.uint64) << np.uint64(n_lookup)
-        self.needle_synd = _doubling_table(self.columns[n_lookup:], n_needle)[order]
+        self.needle_col = needle_col[order]
         self.needle_weight = needle_weight[order]
-        self.start = list(accumulate((comb(n_needle, w) for w in range(n_needle + 1)), initial=0))
+        per_class = np.bincount(cls, minlength=classes).reshape(groups, n_needle + 1)
+        self.upto = per_class.cumsum(axis=1).astype(np.min_scalar_type(self.group_size))
 
-    def _candidates(self, s: int, wmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The patterns of H'-syndrome s whose needle part has weight <= wmax.
+    def _segment(self, s: int, wmax: int) -> tuple[slice, np.ndarray]:
+        """The needle parts of weight <= wmax that complete H'-syndrome s, and their columns.
 
         A needle part of H'-syndrome u needs a lookup part of syndrome
-        y = u ^ s, which exists iff y < 2^rho; then it is any mask in
-        column y. Returns the needle positions ``hit``, their columns
-        ``cols`` and the weights: weight[i, j] is that of needle part
-        hit[j] joined with lookup mask i of column cols[j].
+        y = u ^ s, which exists iff y < 2^rho, that is iff u >> rho equals
+        s >> rho; then it is any mask in column y. So the parts are one
+        slice of group s >> rho, and y is their ``needle_col`` XOR s mod 2^rho.
         """
-        y = self.needle_synd[: self.start[min(wmax, self.nl) + 1]] ^ np.uint64(s)
-        hit = np.flatnonzero(y < self.lookup.shape[1])
-        cols = y[hit]
-        return hit, cols, self.needle_weight[hit] + self.lookup_weight.take(cols, axis=1)
+        g = s >> self.rho
+        start = g * self.group_size
+        seg = slice(start, start + int(self.upto[g, min(wmax, self.nl)]))
+        return seg, self.needle_col[seg] ^ (s & ((1 << self.rho) - 1))
 
-    def _patterns(self, hit: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        i, j = np.nonzero(keep)
-        return self.needle_mask[hit[j]] | self.lookup[i, cols[j]]
+    def _join(self, masks: np.ndarray, weight: np.ndarray, cols: np.ndarray, keep) -> np.ndarray:
+        """Needle part masks[j] of weight weight[j] with lookup mask i of column cols[j], for each
+        (i, j) whose joined weight passes ``keep``; only the kept patterns are assembled."""
+        i, j = np.nonzero(keep(weight + self.lookup_weight.take(cols, axis=1)))
+        return masks[j] | self.lookup[i, cols[j]]
 
     def within(self, bits: int, tau: int) -> np.ndarray:
         """Every pattern of weight <= tau with the syndrome of the word ``bits``."""
-        hit, cols, weight = self._candidates(_xor_rows(self.columns, bits), tau)
-        return self._patterns(hit, cols, weight <= tau)
+        seg, cols = self._segment(_xor_rows(self.columns, bits), tau)
+        return self._join(self.needle_mask[seg], self.needle_weight[seg], cols, lambda w: w <= tau)
 
     def nearest(self, bits: int, cap: int) -> np.ndarray:
         """The patterns of least weight w <= cap with the syndrome of ``bits``; empty if w > cap.
@@ -214,13 +250,21 @@ class _SplitIndex:
         j >= rho, and these pivots lie on the needle side, so the pivots
         of the bits of s at or above rho clear those bits and the lightest
         mask in column s mod 2^rho clears the rest. So the default cap n
-        costs no more than a tight one.
+        costs no more than a tight one. When the parts have more than
+        ``_WEIGH_ALL_MAX`` lookup masks in all, each part is first weighed
+        with the lightest mask of its column, and only the parts that reach
+        the least of these weights are joined with the whole column.
         """
         s = _xor_rows(self.columns, bits)
         bound = (s >> self.rho).bit_count() + int(self.lightest[s & ((1 << self.rho) - 1)])
-        hit, cols, weight = self._candidates(s, min(bound, cap))
+        seg, cols = self._segment(s, min(bound, cap))
+        masks, weight = self.needle_mask[seg], self.needle_weight[seg]
+        if len(cols) * self.lookup.shape[0] > _WEIGH_ALL_MAX:
+            least = weight + self.lightest[cols]
+            j = np.flatnonzero(least == least.min())
+            masks, weight, cols = masks[j], weight[j], cols[j]
         # if every weight exceeds cap the minimum is cap, which no weight equals: nothing is kept
-        return self._patterns(hit, cols, weight == weight.min(initial=cap))
+        return self._join(masks, weight, cols, lambda w: w == w.min(initial=cap))
 
 
 _split_indexes: weakref.WeakKeyDictionary[LinearCode, _SplitIndex] = weakref.WeakKeyDictionary()

@@ -216,11 +216,11 @@ def _xor_rows(rows: tuple[int, ...] | list[int], bits: int) -> int:
     return acc
 
 
-def _doubling_table(rows: tuple[int, ...] | list[int], k: int) -> np.ndarray:
-    """XOR of the rows selected by each k-bit mask, indexed by the mask."""
-    cw = np.zeros(1 << k, dtype=np.uint64)
+def _doubling_table(rows: tuple[int, ...] | list[int], k: int, dtype: type | np.dtype = np.uint64) -> np.ndarray:
+    """XOR of the rows selected by each k-bit mask, indexed by the mask; ``dtype`` must hold the rows."""
+    cw = np.zeros(1 << k, dtype=dtype)
     for i in range(k):
-        cw[1 << i: 2 << i] = cw[: 1 << i] ^ np.uint64(rows[i])
+        cw[1 << i: 2 << i] = cw[: 1 << i] ^ cw.dtype.type(rows[i])
     return cw
 
 

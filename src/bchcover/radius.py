@@ -38,9 +38,9 @@ cost in proportion to what is left (``_translate_or`` derives both cuts).
 All three paths give the same stratum. With ``jobs`` > 1 the column walk is
 cut into consecutive groups of about equal modelled cost
 (``_column_groups``); on dense strata each thread ORs its group's
-translates into a private accumulator, sparse strata run the groups on the
-calling thread, and the accumulators are OR-reduced. Pull strata walk all
-columns on the calling thread. OR is commutative and associative, so every
+translates into a private accumulator, and the accumulators are
+OR-reduced. Sparse and pull strata walk all columns once on the calling
+thread, into one accumulator. OR is commutative and associative, so every
 stratum, and hence the output, is bit-identical for any worker count.
 
 A checkpoint file, if requested, is rewritten after each stratum that
@@ -241,30 +241,6 @@ class _ColumnGroup:
             np.bitwise_or(acc, scratch[flips], out=acc)
         return self.acc
 
-    def translate_or_sparse(self, bits: np.ndarray, nz: np.ndarray) -> np.ndarray:
-        """translate_or for ``bits`` whose nonzero words are at ``nz``.
-
-        Only those words are swapped, and word i of ``bits`` lands in
-        word i ^ (c >> 6) of acc. For one column these targets are distinct,
-        so a plain gather, OR and scatter is exact. Needs 3 * len(nz) <= the
-        number of words: the values, targets and gathered words live in
-        slices of ``scratch``.
-        """
-        m = len(nz)
-        self.acc.fill(0)
-        vals = np.take(bits, nz, out=self.scratch[:m], mode="clip")
-        target = self.scratch[m: 2 * m].view(np.intp)
-        gathered = self.scratch[2 * m: 3 * m]
-        low = 0
-        for d, high, _ in self.steps:
-            _swap_bits(vals, d ^ low, self.tmp)
-            low = d
-            np.bitwise_xor(nz, high, out=target)
-            np.take(self.acc, target, out=gathered, mode="clip")
-            gathered |= vals
-            self.acc[target] = gathered
-        return self.acc
-
 
 def _column_groups(code: LinearCode, jobs: int) -> list[_ColumnGroup]:
     """Cut the walk-ordered columns into at most ``jobs`` runs of about equal work.
@@ -304,6 +280,34 @@ def _column_groups(code: LinearCode, jobs: int) -> list[_ColumnGroup]:
         low = c & 63
     bounds.append(len(cols))
     return [_ColumnGroup(cols[a:b], axes) for a, b in zip(bounds, bounds[1:])]
+
+
+def _translate_or_sparse(groups: list[_ColumnGroup], bits: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    """OR over all columns c of translate(bits, c), for ``bits`` whose nonzero words are at ``nz``.
+
+    Only those words are swapped, and word i of ``bits`` lands in word
+    i ^ (c >> 6) of the accumulator. For one column these targets are
+    distinct, so a plain gather, OR and scatter is exact. The columns of
+    every group are walked once, on the calling thread, into the first
+    group's accumulator, which is returned. Needs 3 * len(nz) <= the number
+    of words: the values, targets and gathered words live in slices of the
+    first group's ``scratch``.
+    """
+    first, m = groups[0], len(nz)
+    acc = first.acc
+    acc.fill(0)
+    vals = np.take(bits, nz, out=first.scratch[:m], mode="clip")
+    target = first.scratch[m: 2 * m].view(np.intp)
+    gathered = first.scratch[2 * m: 3 * m]
+    low = 0
+    for d, high, _ in (step for g in groups for step in g.steps):
+        _swap_bits(vals, d ^ low, first.tmp)
+        low = d
+        np.bitwise_xor(nz, high, out=target)
+        np.take(acc, target, out=gathered, mode="clip")
+        gathered |= vals
+        acc[target] = gathered
+    return acc
 
 
 def _pull(groups: list[_ColumnGroup], reached: np.ndarray) -> np.ndarray:
@@ -406,18 +410,18 @@ def _translate_or(
     # about 2-2.5x the dense one per word it touches, so the two break even
     # near 43% of the words nonzero; a quarter stays clear of that
     # crossover, and leaves room for the sparse path's 3 * nnz words of
-    # buffers inside each group's tmp. Sparse strata run on the calling
-    # thread: the pool did not speed them up.
+    # buffers inside the first group's scratch. Sparse strata walk every
+    # column once on the calling thread: the pool did not speed them up, and
+    # one accumulator per group cost a fill, a gather and an OR-reduce each.
     if 4 * np.count_nonzero(reached) <= len(reached):
-        nz = np.flatnonzero(reached)
-        accs, path = [g.translate_or_sparse(reached, nz) for g in groups], "sparse"
-    elif pool is None:
-        accs, path = [g.translate_or(reached) for g in groups], "dense"
+        return _translate_or_sparse(groups, reached, np.flatnonzero(reached)), "sparse"
+    if pool is None:
+        accs = [g.translate_or(reached) for g in groups]
     else:
-        accs, path = list(pool.map(lambda g: g.translate_or(reached), groups)), "dense"
+        accs = list(pool.map(lambda g: g.translate_or(reached), groups))
     for other in accs[1:]:
         accs[0] |= other
-    return accs[0], path
+    return accs[0], "dense"
 
 
 def _lowest_zero_bit(bits: np.ndarray) -> int:

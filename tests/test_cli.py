@@ -216,6 +216,26 @@ def test_decode_hex_word(capsys):
     assert plain == hexed
 
 
+# [31,6]: rho = 16 < n - k = 25, so ML and list read one of 512 needle groups
+DECODE_PIN_WORD = "1100100100001111110110101010001"
+
+
+@pytest.mark.parametrize("mode,extra,pin", [
+    ("ml", (), "decode_n31_delta15_ml.txt"),
+    ("list", ("--tau", "12"), "decode_n31_delta15_list_tau12.txt"),
+])
+def test_decode_output_pinned_on_31_6(capsys, mode, extra, pin):
+    expected = (EXPECTED / pin).read_text()
+    argv = ("decode", "--n", "31", "--delta", "15", "--word", DECODE_PIN_WORD, "--mode", mode, *extra)
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_decode_rejects_out_of_range_hex_word(capsys):
+    code, out, err = run(capsys, "decode", "--n", "7", "--delta", "3", "--word", "0x80", "--mode", "ml")
+    assert (code, out) == (1, "")
+    assert "out of range for length 7" in err
+
+
 def test_decode_list_requires_tau(capsys):
     code, _, err = run(capsys, "decode", "--n", "7", "--delta", "3",
                        "--word", "1101000", "--mode", "list")

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from bchcover import decode
 from bchcover.bch import build_bch
 from bchcover.bounds import johnson_binary_floor
 from bchcover.decode import _split_index, bounded_decode, list_decode, ml_decode
@@ -122,6 +123,18 @@ def test_result_ordering_and_dedup():
         assert result.exhausted
 
 
+def test_result_words_equal_checked_words():
+    # decoders build their entries without Word's range check; they must be the same values
+    code = bch_code(31, 11)
+    rng = random.Random(3111)
+    for _ in range(20):
+        for w, dist in list_decode(code, Word(rng.getrandbits(31), 31), 6).entries:
+            checked = Word(w.bits, w.n)
+            assert type(w) is Word and w == checked and hash(w) == hash(checked)
+            assert (repr(w), w.weight(), w.n) == (repr(checked), checked.weight(), 31)
+            assert code.syndrome_int(w.bits) == 0 and 0 <= w.bits < 1 << 31 and dist <= 6
+
+
 def test_list_decode_validation():
     code = bch_code(7, 3)
     with pytest.raises(ValueError):
@@ -186,12 +199,23 @@ def test_split_index_invariants():
         assert np.array_equal(index.lightest, index.lookup_weight.min(axis=0))
         # the rows of H' past rho have unit-vector pivot columns on the needle side
         assert all((1 << j) in index.columns[nr:] for j in range(rho, code.n - code.k))
-        # needle side: every mask once, ordered by weight, syndromes under H'
+        # needle side: every mask once, in 2^(n-k-rho) groups of equal size; group g holds
+        # the parts whose H'-syndrome >> rho is g, with their H'-syndromes mod 2^rho, by
+        # weight; upto[g, w] bounds the parts of weight <= w
         needle = index.needle_mask >> np.uint64(nr)
         assert np.array_equal(np.sort(needle), np.arange(1 << index.nl, dtype=np.uint64))
         assert np.array_equal(index.needle_weight, np.bitwise_count(needle))
-        assert np.array_equal(index.needle_weight, np.repeat(np.arange(index.nl + 1), np.diff(index.start)))
-        assert np.array_equal(span_table(index.columns[nr:])[needle], index.needle_synd)
+        groups = 1 << (code.n - code.k - rho)
+        assert index.group_size * groups == 1 << index.nl
+        assert index.upto.shape == (groups, index.nl + 1)
+        synd = span_table(index.columns[nr:])[needle]
+        group_of = np.repeat(np.arange(groups, dtype=np.uint64), index.group_size)
+        assert np.array_equal(synd >> np.uint64(rho), group_of)
+        assert np.array_equal(synd & np.uint64((1 << rho) - 1), index.needle_col.astype(np.uint64))
+        for g in range(groups):
+            weight = index.needle_weight[g * index.group_size: (g + 1) * index.group_size]
+            assert np.all(np.diff(weight.astype(int)) >= 0)
+            assert np.array_equal(index.upto[g], [np.count_nonzero(weight <= w) for w in range(index.nl + 1)])
     for key, value in expected.items():
         assert seen[key] == value
     assert {kernel for kernel, _ in seen.values()} >= {0, 1, 4}
@@ -199,12 +223,12 @@ def test_split_index_invariants():
 
 def test_split_ml_work_is_bounded_by_a_coset_pattern(monkeypatch):
     # each lookup column of the [31,26] Hamming code holds 2^11 masks; with
-    # the default cap n, ML must still join only needle parts of weight <= 2
+    # the default cap n, ML must still cut its segment at needle weight <= 2
     code = bch_code(31, 3)
     index = _split_index(code)
     joined = []
-    candidates = index._candidates
-    monkeypatch.setattr(index, "_candidates", lambda s, wmax: joined.append(wmax) or candidates(s, wmax))
+    segment = index._segment
+    monkeypatch.setattr(index, "_segment", lambda s, wmax: joined.append(wmax) or segment(s, wmax))
     rng = random.Random(31)
     for _ in range(50):
         result = ml_decode(code, Word(rng.getrandbits(31), 31))
@@ -221,6 +245,47 @@ def test_split_ml_on_every_word_of_15_11():
         result = ml_decode(code, Word(bits, code.n), strategy="split")
         assert result.radius_used == nearest == result.distances[0]
         assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+
+
+def test_split_ml_and_list_on_every_word_of_15_5():
+    # [15,5]: rho = 8 < n - k = 10, so the needle side has 4 groups of 32 parts
+    code = bch_code(15, 7)
+    index = _split_index(code)
+    assert (index.rho, index.upto.shape[0], index.group_size) == (8, 4, 32)
+    cw = codeword_table(code, max_k=code.k)
+    for bits in range(1 << code.n):
+        dist = np.bitwise_count(cw ^ np.uint64(bits))
+        nearest = int(dist.min())
+        v = Word(bits, code.n)
+        result = ml_decode(code, v, strategy="split")
+        assert result.radius_used == nearest == result.distances[0]
+        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+        tau = 3 + bits % 3  # t = 3, R = 5 and 4 in between
+        result = list_decode(code, v, tau, strategy="split")
+        keep = dist <= tau
+        assert {w.bits: d for w, d in result.entries} == dict(zip(cw[keep].tolist(), dist[keep].tolist()))
+
+
+@pytest.mark.parametrize("weigh_all_max", [0, 1 << 40])
+def test_split_ml_narrowing_matches_brute_force(monkeypatch, weigh_all_max):
+    # 0 first weighs every part with its column's lightest mask and joins only the parts
+    # that reach the least weight; 2^40 joins every part with its whole column
+    monkeypatch.setattr(decode, "_WEIGH_ALL_MAX", weigh_all_max)
+    rng = random.Random(2012)
+    for code in (bch_code(15, 3), bch_code(17, 3), bch_code(31, 7), random_code(rng, 20, 12)):
+        assert _split_index(code).lookup.shape[0] > 1
+        cw = codeword_table(code, max_k=code.k)
+        for _ in range(60):
+            bits = rng.getrandbits(code.n)
+            dist = np.bitwise_count(cw ^ np.uint64(bits))
+            nearest = int(dist.min())
+            for cap in sorted({max(nearest - 1, 0), nearest, code.n}):
+                result = ml_decode(code, Word(bits, code.n), weight_cap=cap, strategy="split")
+                assert result.radius_used == min(cap, nearest) and result.exhausted
+                if cap < nearest:
+                    assert result.entries == ()
+                else:
+                    assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
 
 
 # ---------------------------------------------------------------------------

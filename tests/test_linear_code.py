@@ -55,8 +55,11 @@ def test_word_hex_form():
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        Word(8, 3)
+    for bits, n in ((8, 3), (-1, 3), (1, 0), (0, -1), (1 << 63, 63)):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(bits, n)
+    with pytest.raises(ValueError, match="out of range"):
+        Word.from_text("0x8", n=3)
     with pytest.raises(ValueError):
         Word.from_text("10201")
     with pytest.raises(ValueError):

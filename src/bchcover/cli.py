@@ -118,6 +118,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    if args.tau is not None and args.mode != "list":
+        raise ValueError(f"--tau applies to list mode only, not to --mode {args.mode}")
     code, _ = build_bch(args.n, args.delta)
     v = Word.from_text(args.word, code.n)
     if args.mode == "ml":

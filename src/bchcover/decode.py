@@ -38,18 +38,21 @@ The index (2^nr + 2^(n - nr) entries, plus (n - nr + 1) offsets per
 group) is built by the first query on a code and kept in a weak cache
 keyed by the code, so it lives as long as the code.
 
-Longer codes are decoded by ``scan``: patterns of weight 0..tau in
-revolving-door order, carrying the syndrome along with two column XORs per
-step, at a cost of sum_w C(n, w). Scan is also the independent reference
-that split is checked against. ``strategy="scan"`` or ``"split"`` forces
-an engine, and ``DecodeResult.strategy`` reports the one that ran.
+Longer codes are decoded by ``scan``, a depth-first walk. For weight w it
+walks the (w-1)-coordinate prefixes in increasing index order, carrying
+their syndrome down the walk, and looks the last coordinate up in a map
+from each column of H to its positions, keeping the positions after the
+prefix. That costs about sum_{w<tau} C(n, w) prefixes with one lookup
+each; ML stops at the first weight with a match. Scan is also the
+independent reference that split is checked against. ``strategy="scan"``
+or ``"split"`` forces an engine, and ``DecodeResult.strategy`` reports the
+one that ran.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -116,56 +119,28 @@ def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int, s
 # scan engine
 # ----------------------------------------------------------------------
 
-def revolving_door(n: int, w: int) -> Iterator[int]:
-    """Weight-w masks over n bits in minimal-change order.
-
-    Consecutive masks differ by exactly one removed and one added bit, so a
-    syndrome can be carried along with two column XORs per step. Starts at
-    {0..w-1}, ends at {0..w-2, n-1}.
-    """
-    if w < 0 or w > n:
-        return
-    yield from _revolving(n, w, False)
-
-
-def _revolving(n: int, w: int, rev: bool) -> Iterator[int]:
-    if w == 0:
-        yield 0
-        return
-    if w == n:
-        yield (1 << n) - 1
-        return
-    top = 1 << (n - 1)
-    if not rev:
-        yield from _revolving(n - 1, w, False)
-        for m in _revolving(n - 1, w - 1, True):
-            yield m | top
-    else:
-        for m in _revolving(n - 1, w - 1, False):
-            yield m | top
-        yield from _revolving(n - 1, w, True)
-
-
 def _scan_matches(code: LinearCode, target: int, tau: int, stop_at_first_weight: bool) -> list[int]:
     cols = code.syndrome_columns
-    matches: list[int] = []
-    for w in range(min(tau, code.n) + 1):
-        found = False
-        prev = None
-        s = 0
-        for mask in revolving_door(code.n, w):
-            if prev is None:
-                s = code.syndrome_int(mask)
-            else:
-                diff = mask ^ prev
-                low = diff & -diff
-                s ^= cols[low.bit_length() - 1] ^ cols[(diff ^ low).bit_length() - 1]
-            prev = mask
-            if s == target:
-                matches.append(mask)
-                found = True
-        if found and stop_at_first_weight:
+    n = code.n
+    positions: dict[int, list[int]] = {}
+    for i, col in enumerate(cols):
+        positions.setdefault(col, []).append(i)
+    matches = [0] if target == 0 else []
+
+    def walk(depth: int, start: int, mask: int, s: int) -> None:
+        # s is the prefix's syndrome XOR target: the column its last coordinate must have
+        if depth:
+            for i in range(start, n - depth):
+                walk(depth - 1, i + 1, mask | 1 << i, s ^ cols[i])
+        else:
+            for p in positions.get(s, ()):
+                if p >= start:
+                    matches.append(mask | 1 << p)
+
+    for w in range(1, min(tau, n) + 1):
+        if matches and stop_at_first_weight:
             break
+        walk(w - 1, 0, 0, target)
     return matches
 
 

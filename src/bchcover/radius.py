@@ -513,7 +513,8 @@ def covering_radius(
 
     Stops with WeightCapExceeded if strata up to ``weight_cap`` do not cover
     all 2^(n-k) syndromes (the default cap n can never trigger), also when
-    a resumed checkpoint is already past the cap. ``jobs`` threads share
+    a resumed checkpoint is already past the cap; a negative cap is a
+    ValueError before any checkpoint is read. ``jobs`` threads share
     each dense stratum; the result does not depend on it. ``on_event``, if
     given, receives a StratumEvent after each stratum this call computes.
     The code is left unchanged; callers keep the returned result.
@@ -525,6 +526,8 @@ def covering_radius(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if weight_cap is None:
         weight_cap = code.n
+    elif weight_cap < 0:
+        raise ValueError(f"need weight_cap >= 0, got weight_cap={weight_cap}")
     total = 1 << nk
     words = 1 << max(nk - 6, 0)
 

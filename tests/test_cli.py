@@ -99,6 +99,18 @@ def test_radius_weight_cap_error(capsys):
     assert "R > 2" in err
 
 
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_radius_rejects_a_negative_weight_cap(capsys, tmp_path, checkpoint):
+    argv = ["radius", "--n", "15", "--delta", "5"]
+    ckpt = tmp_path / "r.ckpt"
+    if checkpoint:
+        assert run(capsys, *argv, "--checkpoint", str(ckpt), "--weight-cap", "2")[0] == 1
+        argv += ["--checkpoint", str(ckpt)]
+    code, out, err = run(capsys, *argv, "--weight-cap", "-2")
+    assert (code, out) == (1, "")
+    assert err.startswith("bchcover: error:") and "weight_cap" in err
+
+
 def test_radius_checkpoint_roundtrip(capsys, tmp_path):
     ckpt = str(tmp_path / "r.ckpt")
     first = run(capsys, "radius", "--n", "17", "--delta", "3", "--checkpoint", ckpt)
@@ -228,6 +240,24 @@ def test_decode_output_pinned_on_31_6(capsys, mode, extra, pin):
     expected = (EXPECTED / pin).read_text()
     argv = ("decode", "--n", "31", "--delta", "15", "--word", DECODE_PIN_WORD, "--mode", mode, *extra)
     assert run(capsys, *argv) == (0, expected, "")
+
+
+# [63,45]: a weight-5 leader of the deepest syndrome, decoded by the scan (n > 40)
+DEEP_HOLE_63_45 = "000000000000000000000000000000000000000000000111011000000000000"
+
+
+def test_decode_output_pinned_at_the_deep_hole_of_63_45(capsys):
+    expected = (EXPECTED / "decode_n63_delta7_ml.txt").read_text()
+    argv = ("decode", "--n", "63", "--delta", "7", "--word", DEEP_HOLE_63_45, "--mode", "ml")
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("mode", ["ml", "bounded"])
+def test_decode_refuses_tau_outside_list_mode(capsys, mode):
+    code, out, err = run(capsys, "decode", "--n", "15", "--delta", "5",
+                         "--word", "0" * 15, "--mode", mode, "--tau", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("bchcover: error:") and "--tau" in err
 
 
 def test_decode_rejects_out_of_range_hex_word(capsys):

@@ -101,8 +101,8 @@ def test_split_at_full_radius_31_11_matches_codeword_oracle():
 
 
 def test_strategies_agree_at_weight_7_on_23_12():
-    # the scan walks every pattern of weight <= 7, 3.6e5 of them, ten times
-    # fewer than at length 31
+    # the scan walks every prefix of weight <= 6, 1.5e5 of them, with one
+    # lookup of the last coordinate each
     code = bch_code(23, 5)
     v = Word(random.Random(100).randrange(1 << 23), 23)
     scan = list_decode(code, v, 7, strategy="scan")
@@ -167,6 +167,38 @@ def test_list_decode_every_tau_matches_brute_force():
                 expected = dict(zip(cw[keep].tolist(), dist[keep].tolist()))
                 assert {w.bits: d for w, d in result.entries} == expected
                 assert len(result.entries) == len(expected)
+
+
+def test_scan_matches_codeword_oracle_on_every_syndrome():
+    # ML and list at every tau up to n, on a word of every syndrome. The [10,4]
+    # code holds e_0, so column 0 of H is zero and e_0 matches syndrome 0 at
+    # weight 1. The [11,4] code has d = 2, so H has equal columns, and a pattern
+    # is found once only if its last coordinate comes after its prefix.
+    rng = random.Random(1004)
+    zero_column = LinearCode([0b0000000001, 0b0001101110, 0b0110110100, 0b1011011000], 10)
+    repeated = LinearCode([0b00000000011, 0b00101000000, 0b10110101100, 0b01011010110], 11)
+    assert zero_column.syndrome_columns[0] == 0
+    assert len(set(repeated.syndrome_columns)) < repeated.n
+    for code in (zero_column, repeated):
+        cw = codeword_table(code, max_k=code.k)
+        for syndrome in range(1 << (code.n - code.k)):
+            bits = word_with_syndrome(code, syndrome).bits ^ int(cw[rng.randrange(len(cw))])
+            v = Word(bits, code.n)
+            dist = np.bitwise_count(cw ^ np.uint64(bits))
+            nearest = int(dist.min())
+            for tau in range(code.n + 1):
+                result = list_decode(code, v, tau, strategy="scan")
+                keep = dist <= tau
+                assert {w.bits: d for w, d in result.entries} == dict(zip(cw[keep].tolist(), dist[keep].tolist()))
+                assert len(result.entries) == np.count_nonzero(keep)
+                result = ml_decode(code, v, weight_cap=tau, strategy="scan")
+                assert result.radius_used == min(tau, nearest) and result.exhausted
+                expected = set(cw[dist == nearest].tolist()) if nearest <= tau else set()
+                assert {w.bits for w in result.codewords} == expected
+    # a codeword (target 0) at tau 0 is its own only match
+    c = Word(repeated.generator_rows[2], repeated.n)
+    assert list_decode(repeated, c, 0, strategy="scan").entries == ((c, 0),)
+    assert ml_decode(repeated, c, weight_cap=0, strategy="scan").entries == ((c, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +366,22 @@ def test_ml_reports_ties():
     result = ml_decode(repetition, Word.from_text("0011"))
     assert result.distances == (2, 2)
     assert [str(w) for w in result.codewords] == ["0000", "1111"]
+
+
+@pytest.mark.parametrize("row", [row for row in TABLE1 if not row.long_running], ids=lambda row: f"{row.n}-{row.k}")
+def test_ml_at_the_deepest_syndrome_has_weight_r(row):
+    # Certifies R >= claimed by decoding: the word whose support is the unit
+    # columns of H that sum to the deepest syndrome has no codeword nearer
+    # than R. Length 63 runs the scan, [63,45] in under a second. [63,39] and
+    # [63,36] are out of its reach: about 7.6e7 prefixes at [63,39]'s R = 7.
+    code = bch_code(row.n, row.delta)
+    deepest = radius_result(row.n, row.delta).deepest_syndrome.bits
+    unit = {col: i for i, col in enumerate(code.syndrome_columns) if col.bit_count() == 1}
+    bits = sum(1 << unit[1 << j] for j in range(code.n - code.k) if deepest >> j & 1)
+    result = ml_decode(code, Word(bits, code.n))
+    assert result.strategy == ("split" if row.n <= 31 else "scan")
+    assert result.radius_used == row.covering_radius
+    assert result.entries and set(result.distances) == {row.covering_radius}
 
 
 def test_ml_respects_weight_cap():

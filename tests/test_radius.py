@@ -10,7 +10,6 @@ import pytest
 
 from bchcover.bch import build_bch
 from bchcover.bounds import classify
-from bchcover.decode import revolving_door
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
 from bchcover.gf2m import BinaryPolynomial
 from bchcover import radius
@@ -615,6 +614,17 @@ def test_jobs_must_be_positive(jobs):
         covering_radius(build_bch(15, 5)[0], jobs=jobs)
 
 
+@pytest.mark.parametrize("cap", [-1, -2])
+def test_negative_weight_cap_is_refused_before_any_checkpoint_is_read(tmp_path, monkeypatch, cap):
+    path = str(tmp_path / "radius.ckpt")
+    with pytest.raises(WeightCapExceeded):
+        covering_radius(build_bch(15, 5)[0], weight_cap=2, checkpoint_path=path)
+    monkeypatch.setattr(radius, "_load_checkpoint", lambda *args: pytest.fail("checkpoint read"))
+    for checkpoint_path in (None, path):
+        with pytest.raises(ValueError, match="weight_cap"):
+            covering_radius(build_bch(15, 5)[0], weight_cap=cap, checkpoint_path=checkpoint_path)
+
+
 def test_weight_cap_below_resumed_checkpoint(tmp_path):
     path = str(tmp_path / "radius.ckpt")
     with pytest.raises(WeightCapExceeded) as info:
@@ -672,28 +682,3 @@ def test_checkpoint_written_at_a_sparse_stratum_resumes(tmp_path, jobs):
     assert covering_radius(build_bch(31, 11)[0], jobs=jobs, checkpoint_path=path,
                            on_event=resumed.append) == fresh
     assert resumed[0].weight == 4 and {e.path for e in resumed} == {"sparse", "dense"}
-
-
-# ---------------------------------------------------------------------------
-# revolving-door enumeration
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_revolving_door_properties(n):
-    for w in range(n + 1):
-        masks = list(revolving_door(n, w))
-        assert len(masks) == math.comb(n, w)
-        assert len(set(masks)) == len(masks)
-        assert all(m.bit_count() == w for m in masks)
-        for a, b in zip(masks, masks[1:]):
-            assert (a ^ b).bit_count() == 2  # one out, one in
-        if 0 < w:
-            assert masks[0] == (1 << w) - 1
-            if w < n:
-                assert masks[-1] == ((1 << (w - 1)) - 1) | (1 << (n - 1))
-
-
-def test_revolving_door_empty_cases():
-    assert list(revolving_door(5, 6)) == []
-    assert list(revolving_door(5, -1)) == []
-    assert list(revolving_door(0, 0)) == [0]

@@ -4,19 +4,33 @@ The coset leader weight of a syndrome s is the smallest number of
 parity-check columns that XOR to s. The engine grows the set of reached
 syndromes one weight stratum at a time, as one bitset over the 2^(n-k)
 syndromes stored in uint64 words (syndrome s is bit s % 64 of word
-s // 64): ``reached`` holds every syndrome of leader weight <= w. Its
-translates by the columns hold weights <= w+1 only and cover stratum w+1, so
+s // 64): ``reached_w`` holds every syndrome of leader weight <= w.
+``LinearCode`` puts the n-k unit columns 1 << j at its non-pivot
+coordinates; call the other columns general. For a set J of general
+columns, the seeds, let P_r hold the XOR of each r of them. Then
 
-    stratum w+1 = OR over columns c of translate(reached, c), minus reached,
+    reached_{w+1} = reached_w | P_{w+1} | OR over columns c outside J of translate(reached_w, c),
 
-where translate(x, c)[s] = x[s ^ c]. The high bits ``c >> 6`` permute whole
-words: viewing the words as a ``(2,) * (n-k-6)`` array, they flip one axis
-each. The low bits ``c & 63`` permute bits inside every word, moving bit p
-to p ^ (c & 63). Bits 3-5 of p name a byte of the word, so a byteswap of the
-words or of their 32-bit halves flips p's bits 3-5 or 3-4 at about the cost
-of one pass; every other bit of p is flipped by a delta swap with a fixed
-mask (five passes). A permutation is applied in chunks of ``_SWAP_CHUNK``
-words that stay in L2 across those passes. Consecutive columns differ by the
+where translate(x, c)[s] = x[s ^ c]. Every term holds weights <= w+1 only.
+Conversely, take s of leader weight w+1 and a pattern of w+1 columns that
+XOR to s. If one of them, c, lies outside J, the other w XOR to s ^ c, so
+s ^ c is in reached_w and s in its translate by c; otherwise the pattern
+lies in J and s is in P_{w+1}. So the columns of J are never translated:
+each stratum sets its C(|J|, w+1) seed syndromes with one scatter. J holds
+the general columns whose translates cost most, at most
+j_max = max(n-k-8, 0) of them, which keeps the seed table of 2^|J| uint32
+syndromes at 1/8 of the bitset (``_column_groups``). [31,6] seeds all 6
+general columns and translates its 25 unit columns; [63,39] seeds 16 of its
+39.
+
+In a translate, the high bits ``c >> 6`` permute whole words: viewing the
+words as a ``(2,) * (n-k-6)`` array, they flip one axis each. The low bits
+``c & 63`` permute bits inside every word, moving bit p to p ^ (c & 63).
+Bits 3-5 of p name a byte of the word, so a byteswap of the words or of
+their 32-bit halves flips p's bits 3-5 or 3-4 at about the cost of one pass;
+every other bit of p is flipped by a delta swap with a fixed mask (five
+passes). A permutation is applied in chunks of ``_SWAP_CHUNK`` words that
+stay in L2 across those passes. Consecutive columns differ by the
 permutation from one's low bits to the next's, and the columns are walked in
 the Gray-code order of their low bits with bits 0-2 ranked on top, so the
 mask-only bits 0-2 change least often. For n - k < 6 the whole space is the
@@ -25,23 +39,25 @@ covering radius is the last non-empty stratum.
 
 A stratum is computed on one of three paths, chosen from what is known
 before it. The dense path makes a few passes over all 2^(n-k) bits per
-column, which is what makes the big searches ([31,6]: 2^25 syndromes,
-[63,36]: 2^27) run in seconds once ``reached`` has spread. While at most a
-quarter of its words are nonzero, the sparse path gathers just those words,
-permutes their bits, and ORs each column's translate into the accumulator
-at word i ^ (c >> 6), so the thin strata near weight 0 cost in proportion
-to their size. Near the end of the search, when at most half as many
-syndromes are unreached as the last stratum holds, the pull path works the
-other way round: each unreached syndrome is tested against the columns'
+translated column, which is what makes the big searches ([31,6]: 2^25
+syndromes, [63,36]: 2^27) run in seconds once ``reached`` has spread. While
+at most a quarter of its words are nonzero, the sparse path gathers just
+those words, permutes their bits, and ORs each column's translate into the
+accumulator at word i ^ (c >> 6), so the thin strata near weight 0 cost in
+proportion to their size. Near the end of the search, when at most half as
+many syndromes are unreached as the last stratum holds, the pull path works
+the other way round: each unreached syndrome is tested against the columns'
 translates of ``reached`` and leaves at its first hit, so the last strata
 cost in proportion to what is left (``_translate_or`` derives both cuts).
-All three paths give the same stratum. With ``jobs`` > 1 the column walk is
-cut into consecutive groups of about equal modelled cost
-(``_column_groups``); on dense strata each thread ORs its group's
-translates into a private accumulator, and the accumulators are
-OR-reduced. Sparse and pull strata walk all columns once on the calling
-thread, into one accumulator. OR is commutative and associative, so every
-stratum, and hence the output, is bit-identical for any worker count.
+All three paths give the same translates. The seeds are ORed in after the
+path returns, because the pull clears every unreached syndrome that no
+translate hits, seeds included. With ``jobs`` > 1 the column walk is cut
+into consecutive groups of about equal modelled cost (``_column_groups``);
+on dense strata each thread ORs its group's translates into a private
+accumulator, and the accumulators are OR-reduced. Sparse and pull strata
+walk all columns once on the calling thread, into one accumulator. OR is
+commutative and associative, so every stratum, and hence the output, is
+bit-identical for any worker count.
 
 A checkpoint file, if requested, is rewritten after each stratum that
 leaves syndromes unreached, through ``<path>.tmp`` and an atomic rename. It
@@ -242,16 +258,20 @@ class _ColumnGroup:
         return self.acc
 
 
-def _column_groups(code: LinearCode, jobs: int) -> list[_ColumnGroup]:
-    """Cut the walk-ordered columns into at most ``jobs`` runs of about equal work.
+def _column_groups(code: LinearCode, jobs: int) -> tuple[list[_ColumnGroup], list[int]]:
+    """(groups, seeds): the translated columns cut into at most ``jobs`` runs of about equal work, and J.
 
     The walk sorts the columns by the Gray rank of their low bits, ranked
     with bits 0-2 on top: only mask swaps move those, and this order changes
-    them least often. Each run starts its moves from low bits 0. Equal
-    column counts would leave the costly moves in one run.
+    them least often. J (``seeds``) takes the costliest general columns out
+    of the walk, at most j_max = max(n-k-8, 0) of them; the rest of the
+    columns, every unit column among them, are translated. Each run starts
+    its moves from low bits 0. Equal column counts would leave the costly
+    moves in one run.
     """
     cols = sorted(code.syndrome_columns, key=lambda c: (_gray_rank((c & 7) << 3 | (c >> 3) & 7), c))
-    axes = max(code.n - code.k - 6, 0)
+    nk = code.n - code.k
+    axes = max(nk - 6, 0)
 
     # A column costs its strided OR plus the moves from the previous column's
     # low bits, in half passes over the words. Timed per call at 2^18 and 2^19
@@ -268,6 +288,34 @@ def _column_groups(code: LinearCode, jobs: int) -> list[_ColumnGroup]:
         lowest = (high & -high).bit_length() - 1  # -1 if the OR flips no words
         return (or_cost[lowest] if 0 <= lowest < 4 else 2) + byteswap_cost[view] + 5 * len(masks)
 
+    # J: the general columns, all but the first copy of each unit column,
+    # leave the walk one at a time, each time the one whose removal saves the
+    # most: its own step, and the next column's step from it rather than from
+    # its predecessor. j_max = n-k-8 bounds the seed table at 2^(n-k-8)
+    # uint32 syndromes, 1/8 of the 2^(n-k-3)-byte bitset ``reached``. On the
+    # perfbench radius-deep workload ([63,39] at jobs 2, capped at 5 and
+    # resumed; 2-core Xeon) peak_rss_mb read 46.9 without seeds, 47.1 with
+    # j_max = n-k-8 (16 seeds, 256 KiB), 48.5-48.6 with n-k-6 (1 MiB) and
+    # 53.9-54.3 with n-k-4 (4 MiB, +15%), while wall_s stayed within
+    # 0.18-0.20 s for all three.
+    units, general = {1 << j for j in range(nk)}, []
+    for c in cols:
+        general.append(c not in units)
+        units.discard(c)
+
+    def saving(i: int) -> int:
+        prev = cols[i - 1] if i else 0
+        saved = cost(prev, cols[i])
+        if i + 1 < len(cols):
+            saved += cost(cols[i], cols[i + 1]) - cost(prev, cols[i + 1])
+        return saved
+
+    seeds = []
+    for _ in range(min(sum(general), max(nk - 8, 0))):
+        i = max((i for i, g in enumerate(general) if g), key=saving)
+        seeds.append(cols.pop(i))
+        del general[i]
+
     parts = min(jobs, len(cols))
     target = sum(cost(low, c) for low, c in zip([0] + cols, cols)) / parts
     bounds, run, low = [0], 0, 0
@@ -279,11 +327,34 @@ def _column_groups(code: LinearCode, jobs: int) -> list[_ColumnGroup]:
         run += step
         low = c & 63
     bounds.append(len(cols))
-    return [_ColumnGroup(cols[a:b], axes) for a, b in zip(bounds, bounds[1:])]
+    return [_ColumnGroup(cols[a:b], axes) for a, b in zip(bounds, bounds[1:])], seeds
+
+
+def _seed_syndromes(cols: list[int]) -> list[np.ndarray]:
+    """The XOR of each subset of the seed columns J, as uint32, in one array per subset size.
+
+    Entry r holds the C(|J|, r) syndromes of the r-subsets, built one column
+    at a time: an r-subset of the first i+1 columns is an r-subset of the
+    first i, or an (r-1)-subset of them plus column i.
+    """
+    none = np.zeros(0, dtype=np.uint32)
+    by_weight = [np.zeros(1, dtype=np.uint32)]
+    for c in cols:
+        by_weight = [
+            np.concatenate((without, lighter ^ np.uint32(c)))
+            for without, lighter in zip(by_weight + [none], [none] + by_weight)
+        ]
+    return by_weight
+
+
+def _set_bits(bits: np.ndarray, syndromes: np.ndarray) -> None:
+    """Set the bits of these syndromes in the bitset, in one scatter (repeats allowed)."""
+    words = (syndromes >> 6).astype(np.intp)
+    np.bitwise_or.at(bits, words, np.left_shift(np.uint64(1), (syndromes & 63).astype(np.uint64)))
 
 
 def _translate_or_sparse(groups: list[_ColumnGroup], bits: np.ndarray, nz: np.ndarray) -> np.ndarray:
-    """OR over all columns c of translate(bits, c), for ``bits`` whose nonzero words are at ``nz``.
+    """OR over the walked columns c of translate(bits, c), for ``bits`` whose nonzero words are at ``nz``.
 
     Only those words are swapped, and word i of ``bits`` lands in word
     i ^ (c >> 6) of the accumulator. For one column these targets are
@@ -376,43 +447,47 @@ def _translate_or(
     unreached: int,
     pool: ThreadPoolExecutor | None,
 ) -> tuple[np.ndarray, str]:
-    """(acc, path): the bits of acc outside ``reached`` are the next stratum.
+    """(acc, path): the bits of acc outside ``reached`` are the next stratum, less its seeds.
 
     ``path`` is "pull", "sparse" or "dense". The sparse and dense paths OR
-    all columns' translates of ``reached``; the pull tests only the
-    ``unreached`` syndromes. acc is the first group's accumulator.
+    the translates of ``reached`` by every walked column; the pull tests
+    only the ``unreached`` syndromes. acc is the first group's accumulator.
     """
     # The pull costs a gather and a delta swap per pending word and column
     # tried. A word that will be reached drops out after a few columns, but a
     # word holding a syndrome of leader weight above the new stratum's tries
     # every column, so the pull pays off only near the end of the search,
     # where little is left and the last stratum is large. Both paths timed on
-    # the same strata (2-core Xeon, numpy 2.4, dense vs pull, U unreached
+    # the same strata with the walked columns alone (2-core Xeon, numpy 2.4,
+    # jobs 1, two runs of 3-5 calls each, dense vs pull, U unreached
     # syndromes and F = last_count in the last stratum before stratum w):
-    #   pulled, 2U <= F: [63,45] w=5 (U/F 0.37) 1.5 vs 0.39 ms, [31,6] w=11
-    #   (0.052) 74 vs 6.7 ms, [63,39] w=7 (0.015) 80 vs 3.8 ms, [63,36] w=8
-    #   (0.0043) 776 vs 23 ms, [63,36] w=9 (0.0006) 209 ms sparse vs 12 ms;
-    #   kept, 2U > F: [31,11] w=7 (0.61) 1.4 vs 1.6 ms, [31,6] w=10 (0.63)
-    #   71 vs 97 ms, [63,36] w=7 (1.30) 962 vs 409 ms, [63,39] w=6 (1.87)
-    #   78 vs 105 ms.
-    # The crossover moves with n, as the dense path's passes grow with the
-    # column count: below U/F 0.6 at n = 31, between 1.3 and 1.9 at n = 63.
-    # 2U <= F stays below it at both lengths; every pulled stratum measured
-    # ran at least 3.8x faster than dense. The worst case is a stratum above
-    # the cut at n = 63 that stays dense: [63,36] w=7, 0.55 s slower than a
-    # pull.
+    #   pulled, 2U <= F: [63,45] w=5 (U/F 0.37) 1.6 vs 0.45 ms, [31,6] w=11
+    #   (0.052) 40 vs 11 ms, [63,39] w=7 (0.015) 53-56 vs 5.2-5.6 ms,
+    #   [63,36] w=8 (0.0043) 466-506 vs 28-34 ms, [63,36] w=9 (0.0006)
+    #   446-472 vs 14-15 ms;
+    #   kept, 2U > F: [31,11] w=7 (0.61) 0.9-1.0 vs 1.5-2.1 ms, [31,6] w=10
+    #   (0.63) 36-52 vs 94-121 ms, [63,36] w=7 (1.30) 455-460 vs 559-582 ms,
+    #   [63,39] w=6 (1.87) 53-61 vs 114-117 ms.
+    # So the crossover lies between U/F 0.37 and 1.30 at n = 63 and below
+    # 0.61 at n = 31; every pulled stratum ran at least 3.5x faster than
+    # dense, and every kept one faster dense than pulled.
     if 2 * unreached <= last_count:
         return _pull(groups, reached), "pull"
     # Both paths do the same swaps per word translated. On top of that the
     # sparse path does a gather, an OR and a scatter per nonzero word and
-    # column, the dense path one strided OR per word and column. Measured on
-    # a 2-core Xeon (numpy 2.4, [31,6] and [63,39]) the sparse path costs
-    # about 2-2.5x the dense one per word it touches, so the two break even
-    # near 43% of the words nonzero; a quarter stays clear of that
-    # crossover, and leaves room for the sparse path's 3 * nnz words of
-    # buffers inside the first group's scratch. Sparse strata walk every
-    # column once on the calling thread: the pool did not speed them up, and
-    # one accumulator per group cost a fill, a gather and an OR-reduce each.
+    # column, the dense path one strided OR per word and column. Timed as
+    # above, sparse vs dense below the cut: [31,6] w=6 (13% of the words
+    # nonzero) 26-27 vs 37-41 ms, [63,39] w=4 (11%) 21-23 vs 51-57 ms,
+    # [63,36] w=5 (19%) 374-410 vs 448-480 ms. So the sparse path costs
+    # 3.6-5.2x the dense one per word it touches, and the two break even
+    # between 19% and 28% of the words nonzero. The cut at a quarter falls
+    # in that band, but the dense strata above it start at 43% ([31,6] w=7;
+    # [63,39] w=5 81%, [63,36] w=6 92%), so it picks the faster path on
+    # every stratum timed, and leaves room for the sparse path's 3 * nnz
+    # words of buffers inside the first group's scratch. Sparse strata walk
+    # every column once on the calling thread: the pool did not speed them
+    # up, and one accumulator per group cost a fill, a gather and an
+    # OR-reduce each.
     if 4 * np.count_nonzero(reached) <= len(reached):
         return _translate_or_sparse(groups, reached, np.flatnonzero(reached)), "sparse"
     if pool is None:
@@ -543,7 +618,8 @@ def covering_radius(
         w = 0
 
     seen, deepest = sum(counts), 0
-    groups = _column_groups(code, jobs) if seen < total else []
+    groups, seed_cols = _column_groups(code, jobs) if seen < total else ([], [])
+    seeds = _seed_syndromes(seed_cols)
     pool = ThreadPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else None
     try:
         while seen < total:
@@ -551,6 +627,8 @@ def covering_radius(
                 raise WeightCapExceeded(weight_cap, tuple(counts), total)
             start = perf_counter()
             acc, path = _translate_or(groups, reached, counts[-1], total - seen, pool)
+            if w + 1 < len(seeds):  # after the pull has cleared its misses, which would clear a seed too
+                _set_bits(acc, seeds[w + 1])
             acc |= reached  # the pull returns the stratum alone, and at w = 0 no translate holds 0
             w += 1
             count = int(np.bitwise_count(acc).sum()) - seen

@@ -11,6 +11,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from bchcover.radius import covering_radius
 from conftest import bch_code, codeword_table, covering_radius_oracle, radius_result, random_code
 
 LONG_RUNS = os.environ.get("BCHCOVER_LONG") == "1"
+EXPECTED = Path(__file__).parent / "expected"
 
 
 class Timer:
@@ -73,6 +75,14 @@ def test_criterion_2_length_63_cheap_rows():
     report("2", timer, "[63,57] R=1, [63,51] R=3, [63,45] R=5")
 
 
+def _pinned_radius(n: int, delta: int) -> tuple[int, tuple[int, ...], str]:
+    """(R, coset counts by weight, deepest syndrome text) from the pinned `bchcover radius` stdout."""
+    lines = (EXPECTED / f"radius_n{n}_delta{delta}.txt").read_text().splitlines()
+    assert lines[0].startswith("R = ") and lines[2] == "weight,cosets" and lines[-1].startswith("deepest_syndrome,")
+    counts = tuple(int(line.split(",")[1]) for line in lines[3:-1])
+    return int(lines[0].removeprefix("R = ")), counts, lines[-1].split(",")[1]
+
+
 @pytest.mark.skipif(not LONG_RUNS, reason="set BCHCOVER_LONG=1 to search 2^24 and 2^27 syndromes")
 @pytest.mark.parametrize("delta,expected_r", [(9, 7), (11, 9)])
 def test_criterion_2_length_63_long_rows(tmp_path, delta, expected_r):
@@ -81,10 +91,12 @@ def test_criterion_2_length_63_long_rows(tmp_path, delta, expected_r):
         code, _ = build_bch(63, delta, codeword_budget=2)
         result = covering_radius(code, checkpoint_path=ckpt)
         assert result.covering_radius == expected_r
+        assert (result.covering_radius, result.coset_count_by_weight, str(result.deepest_syndrome)) == \
+            _pinned_radius(63, delta)
         assert os.path.exists(ckpt)
         resumed = covering_radius(build_bch(63, delta, codeword_budget=2)[0], checkpoint_path=ckpt)
         assert resumed == result
-    report("2-long", timer, f"[63,{code.k}] R={expected_r}, checkpoint resumable")
+    report("2-long", timer, f"[63,{code.k}] R={expected_r}, pinned profile and deep hole, checkpoint resumable")
 
 
 # ---------------------------------------------------------------------------

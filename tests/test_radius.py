@@ -157,8 +157,21 @@ def _brute_force_leader_profile(code: LinearCode) -> tuple[tuple[int, ...], int]
     return tuple(int(c) for c in counts), int(np.flatnonzero(leaders == radius)[0])
 
 
+def _duplicate_column_code() -> LinearCode:
+    """A [20,8] code whose H = [A | I_12] repeats general column 0 as columns 5 and 6."""
+    rng = random.Random(3)
+    a = [rng.randrange(1, 1 << 12) for _ in range(8)]
+    a[5] = a[6] = a[0]
+    return LinearCode([1 << i | col << 8 for i, col in enumerate(a)], 20)
+
+
 def _leader_cases():
-    """Codes with n - k in {0, 1, 3, 5, 6, 7, 8, 10}: both sides of the 64-bit word."""
+    """Codes with n - k in {0, 1, 3, 5, 6, 7, 8, 10, 12}: both sides of the 64-bit word.
+
+    The codes with n - k >= 9 seed some general columns (J) instead of
+    translating them; random20-8 and duplicates20-8 seed 4 of their 8, and
+    have dense strata.
+    """
     rng = random.Random(7)
     cases = [
         ("whole5-5", from_generator_poly(BinaryPolynomial(1), 5)),
@@ -170,8 +183,9 @@ def _leader_cases():
     ]
     for n in (2, 4, 6, 7, 8, 9, 11):
         cases.append((f"repetition{n}-1", LinearCode([(1 << n) - 1], n)))
-    for n, k in ((6, 6), (8, 7), (10, 7), (12, 7), (12, 6), (13, 6), (14, 6), (14, 4)):
+    for n, k in ((6, 6), (8, 7), (10, 7), (12, 7), (12, 6), (13, 6), (14, 6), (14, 4), (20, 8)):
         cases.append((f"random{n}-{k}", random_code(rng, n, k)))
+    cases.append(("duplicates20-8", _duplicate_column_code()))
     return [pytest.param(code, id=label) for label, code in cases]
 
 
@@ -328,14 +342,39 @@ def test_swap_bits_on_an_offset_slice(monkeypatch):
         assert np.array_equal(x[:3], buffer[:3]) and np.array_equal(x[32:], buffer[32:])
 
 
-@pytest.mark.parametrize("n,delta", [(31, 15), (63, 9)])
-def test_column_groups_cover_every_column_once(n, delta):
-    code = bch_code(n, delta)
+@pytest.mark.parametrize("code,seeded", [
+    pytest.param(bch_code(31, 15), 6, id="31-15"),
+    pytest.param(bch_code(63, 9), 16, id="63-9"),
+    pytest.param(_duplicate_column_code(), 4, id="duplicates20-8"),
+])
+def test_column_groups_cover_every_column_once(code, seeded):
+    # J (the seeds) holds min(#general, n-k-8) columns; the walk translates
+    # the rest, every unit column among them
+    nk = code.n - code.k
     for jobs in range(1, 7):
-        groups = radius._column_groups(code, jobs)
+        groups, seeds = radius._column_groups(code, jobs)
         assert 1 <= len(groups) <= jobs
         walked = [d | high << 6 for g in groups for d, high, _ in g.steps]
-        assert sorted(walked) == sorted(code.syndrome_columns)
+        assert sorted(walked + seeds) == sorted(code.syndrome_columns)
+        assert {1 << j for j in range(nk)} <= set(walked)
+        assert len(seeds) == min(code.k, nk - 8) == seeded
+
+
+def test_seed_in_a_pulled_stratum():
+    # H = [A | I_16] where general column i is bits 2i and 2i+1, so the leader
+    # weight of a syndrome is its number of nonzero bit pairs: C(8, w) 3^w
+    # syndromes of weight w, and the deep holes have every pair nonzero, the
+    # smallest one pair 01 each. All 8 general columns are seeds. Stratum 8 is
+    # pulled (2 * 6561 unreached <= 17496 of weight 7), and its syndrome 0xFFFF
+    # has one leader, the XOR of all 8 seeds: every unit translate of it has
+    # weight 8, so the pull misses it and only its seed sets it.
+    code = LinearCode([1 << i | 3 << (8 + 2 * i) for i in range(8)], 24)
+    for jobs in (1, 3):
+        events = []
+        result = covering_radius(code, jobs=jobs, on_event=events.append)
+        assert result == radius.RadiusResult(8, tuple(math.comb(8, w) * 3**w for w in range(9)), Word(0x5555, 16))
+        assert events[-1].path == "pull"
+        assert len(radius._column_groups(code, jobs)[1]) == 8
 
 
 def test_radius_at_least_packing_radius():

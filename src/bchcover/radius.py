@@ -19,7 +19,7 @@ lies in J and s is in P_{w+1}. So the columns of J are never translated:
 each stratum sets its C(|J|, w+1) seed syndromes with one scatter. J holds
 the general columns whose translates cost most, at most
 j_max = max(n-k-8, 0) of them, which keeps the seed table of 2^|J| uint32
-syndromes at 1/8 of the bitset (``_column_groups``). [31,6] seeds all 6
+syndromes at 1/8 of the bitset (``_column_walk``). [31,6] seeds all 6
 general columns and translates its 25 unit columns; [63,39] seeds 16 of its
 39.
 
@@ -49,15 +49,16 @@ many syndromes are unreached as the last stratum holds, the pull path works
 the other way round: each unreached syndrome is tested against the columns'
 translates of ``reached`` and leaves at its first hit, so the last strata
 cost in proportion to what is left (``_translate_or`` derives both cuts).
-All three paths give the same translates. The seeds are ORed in after the
-path returns, because the pull clears every unreached syndrome that no
-translate hits, seeds included. With ``jobs`` > 1 the column walk is cut
-into consecutive groups of about equal modelled cost (``_column_groups``);
-on dense strata each thread ORs its group's translates into a private
-accumulator, and the accumulators are OR-reduced. Sparse and pull strata
-walk all columns once on the calling thread, into one accumulator. OR is
-commutative and associative, so every stratum, and hence the output, is
-bit-identical for any worker count.
+All three paths give the same translates, into one accumulator. The seeds
+are ORed in after the path returns, because the pull clears every unreached
+syndrome that no translate hits, seeds included. On dense strata the
+workers split the words, not the columns: the accumulator is cut into
+blocks of equal size, each of ``jobs`` threads owns a contiguous run of
+them, and it walks every column over each of its blocks, reading the
+untouched ``reached`` (``_dense_blocks``). Sparse and pull strata run on the
+calling thread. A word of the accumulator is the OR of the same permuted
+words of ``reached`` whatever the blocks and threads, so every stratum, and
+hence the output, is bit-identical for any worker count.
 
 A checkpoint file, if requested, is rewritten after each stratum that
 leaves syndromes unreached, through ``<path>.tmp`` and an atomic rename. It
@@ -113,6 +114,14 @@ _SWAP_MASKS = tuple(
 # at 2^15), and the dense strata of [31,6] ran fastest at 2^15. Smaller chunks
 # pay numpy's per-call overhead, larger ones miss L2.
 _SWAP_CHUNK = 1 << 15
+# Words per block of the dense path. A worker walks every column over one
+# block of the accumulator before the next, so the block stays in L2 across
+# its columns. Dense strata of one search summed, medians of 8 searches at
+# blocks of 2^14, 2^15, 2^16 and 2^17 words (2-core Xeon, numpy 2.4): [31,6]
+# at jobs 1 168, 155, 152 and 157 ms; [63,39] at jobs 2 93, 75, 70 and 67 ms;
+# [63,36] at jobs 2 (medians of 2) 605, 478, 438 and 439 ms. Smaller blocks
+# pay numpy's per-call overhead once more per column, larger ones miss L2.
+_DENSE_BLOCK = 1 << 16
 _PULL_CHUNK = 1 << 14  # words per chunk of the pull's pending set
 _PULL_CARRY = 256      # a chunk's pending words that wait for the merged columns
 
@@ -220,58 +229,17 @@ def _swap_bits(x: np.ndarray, d: int, tmp: np.ndarray) -> None:
             part |= t
 
 
-class _ColumnGroup:
-    """One worker's share of the columns, with its private buffers.
-
-    ``steps`` lists (low bits, high bits, word flips) in the walk order of
-    ``_column_groups``, so ``scratch`` goes from one in-word permutation to
-    the next; ``tmp`` holds one chunk of ``_swap_bits``. In the
-    ``(1,) + (2,) * axes`` word view, axis 1 + a holds bit axes-1-a of the
-    word index; the leading axis keeps the view an array when axes = 0.
-    """
-
-    def __init__(self, cols: list[int], axes: int):
-        words = 1 << axes
-        self.shape = (1,) + (2,) * axes
-        self.steps = [
-            (c & 63, c >> 6, (slice(None),) + tuple(
-                slice(None, None, -1) if (c >> 6) >> (axes - 1 - a) & 1 else slice(None)
-                for a in range(axes)
-            ))
-            for c in cols
-        ]
-        self.acc = np.empty(words, dtype=np.uint64)
-        self.scratch = np.empty(words, dtype=np.uint64)
-        self.tmp = np.empty(min(words, _SWAP_CHUNK), dtype=np.uint64)
-
-    def translate_or(self, bits: np.ndarray) -> np.ndarray:
-        """acc = OR over this group's columns c of translate(bits, c)."""
-        self.acc.fill(0)
-        np.copyto(self.scratch, bits)
-        acc = self.acc.reshape(self.shape)
-        scratch = self.scratch.reshape(self.shape)
-        low = 0
-        for d, _, flips in self.steps:
-            _swap_bits(self.scratch, d ^ low, self.tmp)
-            low = d
-            np.bitwise_or(acc, scratch[flips], out=acc)
-        return self.acc
-
-
-def _column_groups(code: LinearCode, jobs: int) -> tuple[list[_ColumnGroup], list[int]]:
-    """(groups, seeds): the translated columns cut into at most ``jobs`` runs of about equal work, and J.
+def _column_walk(code: LinearCode) -> tuple[list[tuple[int, int]], list[int]]:
+    """(steps, seeds): the translated columns as (low bits, high bits) in walk order, and J.
 
     The walk sorts the columns by the Gray rank of their low bits, ranked
     with bits 0-2 on top: only mask swaps move those, and this order changes
     them least often. J (``seeds``) takes the costliest general columns out
     of the walk, at most j_max = max(n-k-8, 0) of them; the rest of the
-    columns, every unit column among them, are translated. Each run starts
-    its moves from low bits 0. Equal column counts would leave the costly
-    moves in one run.
+    columns, every unit column among them, are translated.
     """
     cols = sorted(code.syndrome_columns, key=lambda c: (_gray_rank((c & 7) << 3 | (c >> 3) & 7), c))
     nk = code.n - code.k
-    axes = max(nk - 6, 0)
 
     # A column costs its strided OR plus the moves from the previous column's
     # low bits, in half passes over the words. Timed per call at 2^18 and 2^19
@@ -315,19 +283,7 @@ def _column_groups(code: LinearCode, jobs: int) -> tuple[list[_ColumnGroup], lis
         i = max((i for i, g in enumerate(general) if g), key=saving)
         seeds.append(cols.pop(i))
         del general[i]
-
-    parts = min(jobs, len(cols))
-    target = sum(cost(low, c) for low, c in zip([0] + cols, cols)) / parts
-    bounds, run, low = [0], 0, 0
-    for i, c in enumerate(cols):
-        step = cost(low, c)
-        if run and len(bounds) < parts and run + step / 2 > target:
-            bounds.append(i)
-            run, step = 0, cost(0, c)
-        run += step
-        low = c & 63
-    bounds.append(len(cols))
-    return [_ColumnGroup(cols[a:b], axes) for a, b in zip(bounds, bounds[1:])], seeds
+    return [(c & 63, c >> 6) for c in cols], seeds
 
 
 def _seed_syndromes(cols: list[int]) -> list[np.ndarray]:
@@ -347,57 +303,88 @@ def _seed_syndromes(cols: list[int]) -> list[np.ndarray]:
     return by_weight
 
 
-def _set_bits(bits: np.ndarray, syndromes: np.ndarray) -> None:
-    """Set the bits of these syndromes in the bitset, in one scatter (repeats allowed)."""
+def _set_unreached_bits(bits: np.ndarray, reached: np.ndarray, syndromes: np.ndarray) -> None:
+    """Set the bits of these syndromes in the bitset, in one scatter (repeats allowed).
+
+    Syndromes already in ``reached`` are dropped first; the caller ORs
+    ``reached`` into the bitset after.
+    """
     words = (syndromes >> 6).astype(np.intp)
-    np.bitwise_or.at(bits, words, np.left_shift(np.uint64(1), (syndromes & 63).astype(np.uint64)))
+    ones = np.left_shift(np.uint64(1), (syndromes & 63).astype(np.uint64))
+    new = (reached[words] & ones) == 0
+    np.bitwise_or.at(bits, words[new], ones[new])
 
 
-def _translate_or_sparse(groups: list[_ColumnGroup], bits: np.ndarray, nz: np.ndarray) -> np.ndarray:
-    """OR over the walked columns c of translate(bits, c), for ``bits`` whose nonzero words are at ``nz``.
+def _dense_blocks(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, block: int, run: range,
+                  tmp: np.ndarray) -> None:
+    """acc = OR over the walked columns c of translate(reached, c), on the blocks of ``block`` words in ``run``.
+
+    Block b of the translate by c is block b ^ (high >> log2 block) of
+    ``reached``, its words flipped by the other bits of high = c >> 6 and
+    their bits permuted by c & 63. A block of acc is kept permuted by the
+    current column's low bits instead, so ``reached`` is read as it is and
+    the next column costs one permutation of the block. The block starts
+    at zero in the first column's frame and is permuted back after the
+    last. In the ``(1,) + (2,) * log2 block`` view of a block, axis 1 + a
+    holds bit log2 block - 1 - a of the word index; the leading axis keeps
+    the view an array for 1-word blocks.
+    """
+    axes = block.bit_length() - 1
+    shape = (1,) + (2,) * axes
+    src, dst = reached.reshape((-1,) + shape), acc.reshape((-1,) + shape)
+    moves = [
+        (d, high >> axes, (slice(None),) + tuple(
+            slice(None, None, -1) if high >> (axes - 1 - a) & 1 else slice(None) for a in range(axes)
+        ))
+        for d, high in steps
+    ]
+    for b in run:
+        out, view = acc[b * block: (b + 1) * block], dst[b]
+        out.fill(0)
+        low = steps[0][0]
+        for d, high_block, flips in moves:
+            _swap_bits(out, d ^ low, tmp)
+            low = d
+            np.bitwise_or(view, src[b ^ high_block][flips], out=view)
+        _swap_bits(out, low, tmp)
+
+
+def _translate_or_sparse(steps: list[tuple[int, int]], bits: np.ndarray, nz: np.ndarray, acc: np.ndarray,
+                         tmp: np.ndarray) -> None:
+    """acc = OR over the walked columns c of translate(bits, c), for ``bits`` whose nonzero words are at ``nz``.
 
     Only those words are swapped, and word i of ``bits`` lands in word
     i ^ (c >> 6) of the accumulator. For one column these targets are
-    distinct, so a plain gather, OR and scatter is exact. The columns of
-    every group are walked once, on the calling thread, into the first
-    group's accumulator, which is returned. Needs 3 * len(nz) <= the number
-    of words: the values, targets and gathered words live in slices of the
-    first group's ``scratch``.
+    distinct, so a plain gather, OR and scatter is exact.
     """
-    first, m = groups[0], len(nz)
-    acc = first.acc
     acc.fill(0)
-    vals = np.take(bits, nz, out=first.scratch[:m], mode="clip")
-    target = first.scratch[m: 2 * m].view(np.intp)
-    gathered = first.scratch[2 * m: 3 * m]
+    vals = bits[nz]
+    target = np.empty_like(nz)
+    gathered = np.empty_like(vals)
     low = 0
-    for d, high, _ in (step for g in groups for step in g.steps):
-        _swap_bits(vals, d ^ low, first.tmp)
+    for d, high in steps:
+        _swap_bits(vals, d ^ low, tmp)
         low = d
         np.bitwise_xor(nz, high, out=target)
         np.take(acc, target, out=gathered, mode="clip")
         gathered |= vals
         acc[target] = gathered
-    return acc
 
 
-def _pull(groups: list[_ColumnGroup], reached: np.ndarray) -> np.ndarray:
-    """The next stratum, found by testing the unreached syndromes.
+def _pull(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """acc = the next stratum, found by testing the unreached syndromes.
 
-    The result lives in the first group's accumulator. It starts as
-    ~reached. Each word with pending (unreached) bits then tries the
-    walk-ordered columns c: translate(reached, c) at word i is
+    acc starts as ~reached. Each word with pending (unreached) bits then
+    tries the walk-ordered columns c: translate(reached, c) at word i is
     reached[i ^ (c >> 6)] with its bits permuted by c & 63. An unreached
     syndrome hits it only if it lies in the next stratum. The pending
     bits are kept permuted by the current column's low bits instead, so a
     column costs one permutation of them and one gather. Hits leave the
     pending set, and words with no pending bits are dropped. Bits still
-    pending after the last column are cleared from the result.
+    pending after the last column are cleared from acc.
     """
-    steps = [(d, high) for g in groups for d, high, _ in g.steps]
     lows = [0] + [d for d, _ in steps]
-    acc = np.invert(reached, out=groups[0].acc)
-    tmp = groups[0].tmp
+    np.invert(reached, out=acc)
 
     def step(j: int, idx: np.ndarray, pend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _swap_bits(pend, lows[j] ^ lows[j + 1], tmp)
@@ -437,21 +424,17 @@ def _pull(groups: list[_ColumnGroup], reached: np.ndarray) -> np.ndarray:
                 clear_misses(idx, pend)
             elif len(idx):
                 waiting[j + 1].append((idx, pend))
-    return acc
 
 
-def _translate_or(
-    groups: list[_ColumnGroup],
-    reached: np.ndarray,
-    last_count: int,
-    unreached: int,
-    pool: ThreadPoolExecutor | None,
-) -> tuple[np.ndarray, str]:
-    """(acc, path): the bits of acc outside ``reached`` are the next stratum, less its seeds.
+def _translate_or(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, last_count: int, unreached: int,
+                  block: int, work: list[tuple[range, np.ndarray]], pool: ThreadPoolExecutor | None) -> str:
+    """Fill acc so that its bits outside ``reached`` are the next stratum, less its seeds; returns the path.
 
-    ``path`` is "pull", "sparse" or "dense". The sparse and dense paths OR
+    The path is "pull", "sparse" or "dense". The sparse and dense paths OR
     the translates of ``reached`` by every walked column; the pull tests
-    only the ``unreached`` syndromes. acc is the first group's accumulator.
+    only the ``unreached`` syndromes. ``work`` pairs each worker's run of
+    dense blocks with its ``_swap_bits`` buffer; the sparse and pull paths
+    run on the calling thread with the first buffer.
     """
     # The pull costs a gather and a delta swap per pending word and column
     # tried. A word that will be reached drops out after a few columns, but a
@@ -472,7 +455,8 @@ def _translate_or(
     # 0.61 at n = 31; every pulled stratum ran at least 3.5x faster than
     # dense, and every kept one faster dense than pulled.
     if 2 * unreached <= last_count:
-        return _pull(groups, reached), "pull"
+        _pull(steps, reached, acc, work[0][1])
+        return "pull"
     # Both paths do the same swaps per word translated. On top of that the
     # sparse path does a gather, an OR and a scatter per nonzero word and
     # column, the dense path one strided OR per word and column. Timed as
@@ -483,20 +467,13 @@ def _translate_or(
     # between 19% and 28% of the words nonzero. The cut at a quarter falls
     # in that band, but the dense strata above it start at 43% ([31,6] w=7;
     # [63,39] w=5 81%, [63,36] w=6 92%), so it picks the faster path on
-    # every stratum timed, and leaves room for the sparse path's 3 * nnz
-    # words of buffers inside the first group's scratch. Sparse strata walk
-    # every column once on the calling thread: the pool did not speed them
-    # up, and one accumulator per group cost a fill, a gather and an
-    # OR-reduce each.
+    # every stratum timed. Sparse strata walk every column once on the
+    # calling thread: the pool did not speed them up.
     if 4 * np.count_nonzero(reached) <= len(reached):
-        return _translate_or_sparse(groups, reached, np.flatnonzero(reached)), "sparse"
-    if pool is None:
-        accs = [g.translate_or(reached) for g in groups]
-    else:
-        accs = list(pool.map(lambda g: g.translate_or(reached), groups))
-    for other in accs[1:]:
-        accs[0] |= other
-    return accs[0], "dense"
+        _translate_or_sparse(steps, reached, np.flatnonzero(reached), acc, work[0][1])
+        return "sparse"
+    list((map if pool is None else pool.map)(lambda wt: _dense_blocks(steps, reached, acc, block, *wt), work))
+    return "dense"
 
 
 def _lowest_zero_bit(bits: np.ndarray) -> int:
@@ -589,10 +566,11 @@ def covering_radius(
     Stops with WeightCapExceeded if strata up to ``weight_cap`` do not cover
     all 2^(n-k) syndromes (the default cap n can never trigger), also when
     a resumed checkpoint is already past the cap; a negative cap is a
-    ValueError before any checkpoint is read. ``jobs`` threads share
-    each dense stratum; the result does not depend on it. ``on_event``, if
-    given, receives a StratumEvent after each stratum this call computes.
-    The code is left unchanged; callers keep the returned result.
+    ValueError before any checkpoint is read. ``jobs`` threads split the
+    words of each dense stratum; the result does not depend on it.
+    ``on_event``, if given, receives a StratumEvent after each stratum this
+    call computes. The code is left unchanged; callers keep the returned
+    result.
     """
     nk = code.n - code.k
     if nk > 32:
@@ -618,17 +596,25 @@ def covering_radius(
         w = 0
 
     seen, deepest = sum(counts), 0
-    groups, seed_cols = _column_groups(code, jobs) if seen < total else ([], [])
+    steps, seed_cols = _column_walk(code)
     seeds = _seed_syndromes(seed_cols)
-    pool = ThreadPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else None
+    # Each worker owns a contiguous run of dense blocks, which hold
+    # _DENSE_BLOCK words, or fewer where that gives every worker a block.
+    workers = min(jobs, words)
+    block = min(_DENSE_BLOCK, 1 << (words // workers).bit_length() - 1)
+    blocks = words // block
+    work = [(range(blocks * j // workers, blocks * (j + 1) // workers), np.empty(min(words, _SWAP_CHUNK), np.uint64))
+            for j in range(workers)]
+    acc = np.empty(words, dtype=np.uint64)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while seen < total:
             if w >= weight_cap:
                 raise WeightCapExceeded(weight_cap, tuple(counts), total)
             start = perf_counter()
-            acc, path = _translate_or(groups, reached, counts[-1], total - seen, pool)
+            path = _translate_or(steps, reached, acc, counts[-1], total - seen, block, work, pool)
             if w + 1 < len(seeds):  # after the pull has cleared its misses, which would clear a seed too
-                _set_bits(acc, seeds[w + 1])
+                _set_unreached_bits(acc, reached, seeds[w + 1])
             acc |= reached  # the pull returns the stratum alone, and at w = 0 no translate holds 0
             w += 1
             count = int(np.bitwise_count(acc).sum()) - seen

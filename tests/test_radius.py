@@ -276,14 +276,28 @@ def test_pull_stratum_before_the_last_matches_brute_force(monkeypatch, chunk, ca
         assert [e.count for e in events] == [int(np.count_nonzero(leaders == w)) for w in range(1, 9)]
 
 
-@pytest.mark.parametrize("code", _cut_cases() + [pytest.param(_pull_case(), id="pull20-6")])
-def test_swap_chunks_match_brute_force(monkeypatch, code):
+def _chunk_cases():
+    """(code, words per dense block or None for the default), for the cut cases and the pull case."""
+    codes = _cut_cases() + [pytest.param(_pull_case(), id="pull20-6")]
+    return [pytest.param(p.values[0], None, id=p.id) for p in codes] + [
+        pytest.param(p.values[0], block, id=f"{p.id}-blocks-of-{block}") for p in codes for block in (4, 64)
+    ]
+
+
+@pytest.mark.parametrize("code,block", _chunk_cases())
+def test_swap_chunks_match_brute_force(monkeypatch, code, block):
     # The oracle codes have at most 256 words, fewer than one default chunk.
     # 24-word chunks send the dense, sparse and pull permutations through the
-    # chunk loop, remainders included.
+    # chunk loop, remainders included. Dense blocks of 4 words cut these
+    # codes into 32 or 64 blocks, so the translates flip the block index as
+    # well as the words inside a block; blocks of 64 words make 2 or 4, fewer
+    # than 5 workers, which then get smaller blocks; 3 workers divide no
+    # block count.
     monkeypatch.setattr(radius, "_SWAP_CHUNK", 24)
+    if block is not None:
+        monkeypatch.setattr(radius, "_DENSE_BLOCK", block)
     counts, deepest = _brute_force_leader_profile(code)
-    for jobs in (1, 3):
+    for jobs in (1, 3) if block is None else (1, 2, 3, 5):
         events = []
         result = covering_radius(code, jobs=jobs, on_event=events.append)
         assert result.coset_count_by_weight == counts
@@ -347,17 +361,15 @@ def test_swap_bits_on_an_offset_slice(monkeypatch):
     pytest.param(bch_code(63, 9), 16, id="63-9"),
     pytest.param(_duplicate_column_code(), 4, id="duplicates20-8"),
 ])
-def test_column_groups_cover_every_column_once(code, seeded):
+def test_column_walk_covers_every_column_once(code, seeded):
     # J (the seeds) holds min(#general, n-k-8) columns; the walk translates
     # the rest, every unit column among them
     nk = code.n - code.k
-    for jobs in range(1, 7):
-        groups, seeds = radius._column_groups(code, jobs)
-        assert 1 <= len(groups) <= jobs
-        walked = [d | high << 6 for g in groups for d, high, _ in g.steps]
-        assert sorted(walked + seeds) == sorted(code.syndrome_columns)
-        assert {1 << j for j in range(nk)} <= set(walked)
-        assert len(seeds) == min(code.k, nk - 8) == seeded
+    steps, seeds = radius._column_walk(code)
+    walked = [d | high << 6 for d, high in steps]
+    assert sorted(walked + seeds) == sorted(code.syndrome_columns)
+    assert {1 << j for j in range(nk)} <= set(walked)
+    assert len(seeds) == min(code.k, nk - 8) == seeded
 
 
 def test_seed_in_a_pulled_stratum():
@@ -374,7 +386,7 @@ def test_seed_in_a_pulled_stratum():
         result = covering_radius(code, jobs=jobs, on_event=events.append)
         assert result == radius.RadiusResult(8, tuple(math.comb(8, w) * 3**w for w in range(9)), Word(0x5555, 16))
         assert events[-1].path == "pull"
-        assert len(radius._column_groups(code, jobs)[1]) == 8
+    assert len(radius._column_walk(code)[1]) == 8
 
 
 def test_radius_at_least_packing_radius():

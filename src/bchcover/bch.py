@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2m import BinaryPolynomial, FieldContext, make_field
-from .linear_code import DEFAULT_CODEWORD_BUDGET, LinearCode, from_generator_poly
+from .linear_code import LinearCode, from_generator_poly
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,13 @@ def generator_polynomial(n: int, delta: int) -> BinaryPolynomial:
     return g
 
 
-def build_bch(
-    n: int,
-    delta: int,
-    codeword_budget: int = DEFAULT_CODEWORD_BUDGET,
-) -> tuple[LinearCode, BchSpec]:
+def build_bch(n: int, delta: int) -> tuple[LinearCode, BchSpec]:
     """Construct the narrow-sense BCH code of length n and designed distance delta.
 
-    The exact minimum distance is computed when 2^k fits the budget;
-    otherwise the code carries delta as a designed-distance lower bound.
-    Computing it enumerates 2^min(k, n-k) words (the code or its dual, see
+    Calls ``min_distance`` once, so the exact minimum distance is computed
+    here when 2^k fits ``CODEWORD_BUDGET`` and kept on the code; otherwise
+    the code carries delta as a designed-distance lower bound. Computing it
+    enumerates 2^min(k, n-k) words (the code or its dual, see
     ``LinearCode.min_distance``), but the budget still gates on 2^k.
     """
     g = generator_polynomial(n, delta)
@@ -115,9 +112,5 @@ def build_bch(
     m = multiplicative_order_of_two(n)
     spec = BchSpec(n=n, m=m, delta=delta, b=1, beta_log=((1 << m) - 1) // n)
     code = from_generator_poly(g, n, designed_distance=delta)
-    d, exactness = code.min_distance(codeword_budget)
-    if exactness == "exact":
-        code.label = f"BCH [{n},{code.k},{d}]"
-    else:
-        code.label = f"BCH [{n},{code.k},d>={delta}]"
+    code.min_distance()
     return code, spec

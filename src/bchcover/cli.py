@@ -34,7 +34,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
         if row.n > args.max_n:
             continue
         code, _ = build_bch(row.n, row.delta)
-        d, exactness = code.min_distance()
         skip_radius = row.long_running and not args.long_running
         result = None if skip_radius else covering_radius(code, jobs=args.jobs)
         report = classify(code, result, comment=row.comment)
@@ -48,9 +47,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
         name = f"[{row.n},{row.k},{row.d}]"
         if code.k != row.k:
             mismatches.append(f"{name}: k = {code.k}, expected {row.k}")
-        if d != row.d:
-            flavor = "" if exactness == "exact" else " (lower bound)"
-            mismatches.append(f"{name}: d = {d}{flavor}, expected {row.d}")
+        if report.d != row.d:
+            flavor = "" if report.d_exact else " (lower bound)"
+            mismatches.append(f"{name}: d = {report.d}{flavor}, expected {row.d}")
         if not skip_radius and report.covering_radius != row.covering_radius:
             mismatches.append(f"{name}: R = {report.covering_radius}, expected {row.covering_radius}")
         if report.tau_binary != row.tau_binary:
@@ -88,8 +87,10 @@ def cmd_radius(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         checkpoint_path=args.checkpoint,
     )
+    d, exactness = code.min_distance()
+    d_cell = str(d) if exactness == "exact" else f"d>={d}"
     print(f"R = {result.covering_radius}")
-    print(f"code = {code.label}")
+    print(f"code = BCH [{code.n},{code.k},{d_cell}]")
     print("weight,cosets")
     for w, count in enumerate(result.coset_count_by_weight):
         print(f"{w},{count}")

@@ -12,11 +12,11 @@ which counts the smaller of C and its dual and applies MacWilliams.
 
 A LinearCode's matrices are fixed at construction; syndromes, codewords
 and the weight distribution are pure functions of them, so codes are safe
-to share across workers. Two things stay mutable: the memo of the exact
+to share across workers. One thing stays mutable: the memo of the exact
 minimum distance, filled by the first ``min_distance`` call that can afford
-it, and ``label``, which ``build_bch`` sets once that call has run. Results
-derived from a code, such as its covering radius, are values returned to
-the caller and never stored on the code.
+it, a pure function of the code. Results derived from a code, such as its
+covering radius, are values returned to the caller and never stored on the
+code.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 
 from .gf2m import BinaryPolynomial
 
-DEFAULT_CODEWORD_BUDGET = 1 << 26
+CODEWORD_BUDGET = 1 << 26  # min_distance is exact when 2^k fits it
+_SPAN_BLOCK_BITS = 20      # _span_weights enumerates blocks of 2^20 words
 
 Exactness = Literal["exact", "lower_bound"]
 
@@ -61,9 +62,6 @@ class Word:
             if c == "1":
                 bits |= 1 << i
         return cls(bits, len(text))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
@@ -118,7 +116,6 @@ class LinearCode:
         self,
         generator_rows: list[int],
         n: int,
-        label: str = "",
         designed_distance: int | None = None,
     ) -> None:
         k = len(generator_rows)
@@ -133,7 +130,6 @@ class LinearCode:
         self.n = n
         self.k = k
         self.generator_rows = tuple(generator_rows)
-        self.label = label
         self.designed_distance = designed_distance
         self._min_distance: int | None = None  # exact, once computed
 
@@ -155,19 +151,20 @@ class LinearCode:
     def codeword_int(self, message: int) -> int:
         return _xor_rows(self.generator_rows, message)
 
-    def min_distance(self, codeword_budget: int = DEFAULT_CODEWORD_BUDGET) -> tuple[int, Exactness]:
-        """Exact minimum weight when 2^k fits the budget, else a lower bound.
+    def min_distance(self) -> tuple[int, Exactness]:
+        """Exact minimum weight when 2^k fits ``CODEWORD_BUDGET``, else a lower bound.
 
         The exact value is the least i >= 1 with A_i > 0 in
         ``weight_distribution``, which enumerates 2^min(k, n-k) words; the
-        budget still gates on 2^k. The lower bound is the stored designed
+        budget, read at call time, still gates on 2^k. The exact value is
+        kept for later calls. The lower bound is the stored designed
         distance (1 if none is known).
         """
         if self._min_distance is not None:
             return self._min_distance, "exact"
         if self.k == 0:
             return self.n + 1, "exact"  # empty code: no nonzero codeword
-        if (1 << self.k) <= codeword_budget:
+        if (1 << self.k) <= CODEWORD_BUDGET:
             weights = weight_distribution(self)
             self._min_distance = next(i for i in range(1, self.n + 1) if weights[i])
             return self._min_distance, "exact"
@@ -175,14 +172,12 @@ class LinearCode:
 
     def __repr__(self) -> str:
         d = "" if self._min_distance is None else f",{self._min_distance}"
-        name = self.label or f"[{self.n},{self.k}{d}]"
-        return f"LinearCode({name})"
+        return f"LinearCode([{self.n},{self.k}{d}])"
 
 
 def from_generator_poly(
     g: BinaryPolynomial,
     n: int,
-    label: str = "",
     designed_distance: int | None = None,
 ) -> LinearCode:
     """Cyclic [n, n - deg g] code with generator rows g(x) x^i.
@@ -199,7 +194,7 @@ def from_generator_poly(
     if k <= 0:
         raise ValueError(f"degenerate code: deg g = {int(g.degree)} leaves k = {k}")
     rows = [g.value << i for i in range(k)]
-    return LinearCode(rows, n, label=label, designed_distance=designed_distance)
+    return LinearCode(rows, n, designed_distance=designed_distance)
 
 
 # ----------------------------------------------------------------------
@@ -224,13 +219,13 @@ def _doubling_table(rows: tuple[int, ...] | list[int], k: int, dtype: type | np.
     return cw
 
 
-def _span_weights(rows: tuple[int, ...], n: int, block_bits: int = 20) -> list[int]:
+def _span_weights(rows: tuple[int, ...], n: int) -> list[int]:
     """Number of words of each weight 0..n in the GF(2) span of independent rows.
 
-    Enumerates the span in blocks of 2^block_bits via the doubling
+    Enumerates the span in blocks of 2^_SPAN_BLOCK_BITS via the doubling
     construction, so memory stays flat for many rows.
     """
-    low = min(len(rows), block_bits)
+    low = min(len(rows), _SPAN_BLOCK_BITS)
     block = _doubling_table(rows[:low], low)
     counts = np.zeros(n + 1, dtype=np.int64)
     for high in range(1 << (len(rows) - low)):

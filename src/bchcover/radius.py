@@ -622,7 +622,7 @@ def covering_radius(
                 raise AssertionError("stratum empty before full coverage (H not full rank?)")
             if seen + count == total:  # the last stratum holds every syndrome still unreached
                 deepest = _lowest_zero_bit(reached)
-            np.copyto(reached, acc)
+            reached, acc = acc, reached  # every path overwrites acc before it reads it
             counts.append(count)
             seen += count
             searched = perf_counter()

@@ -11,6 +11,7 @@ from bchcover import LinearCode, RadiusResult, Word, build_bch, covering_radius
 # the weight distribution, the split decoding index and the radius search.
 _ORACLE_GUARD_N = 16
 _ORACLE_GUARD_NK = 30
+_ORACLE_BLOCK_BITS = 20  # min_nonzero_weight enumerates 2^20 combinations at a time
 
 
 @functools.lru_cache(maxsize=None)
@@ -40,7 +41,7 @@ def random_code(rng: random.Random, n: int, k: int) -> LinearCode:
     while True:
         rows = [rng.randrange(1, 1 << n) for _ in range(k)]
         try:
-            return LinearCode(rows, n, label=f"random [{n},{k}]")
+            return LinearCode(rows, n)
         except ValueError:
             continue
 
@@ -97,16 +98,16 @@ def word_with_syndrome(code: LinearCode, syndrome: int) -> Word:
     return Word(bits, code.n)
 
 
-def min_nonzero_weight(rows: tuple[int, ...] | list[int], n: int, block_bits: int = 20) -> int:
+def min_nonzero_weight(rows: tuple[int, ...] | list[int], n: int) -> int:
     """Minimum weight over all nonzero GF(2) combinations of the rows: the brute-force d oracle.
 
-    Enumerates all 2^k combinations in blocks of 2^block_bits, each block
-    built by ``span_table``, so memory stays flat for large k.
+    Enumerates all 2^k combinations in blocks of 2^_ORACLE_BLOCK_BITS, each
+    block built by ``span_table``, so memory stays flat for large k.
     """
     k = len(rows)
     if k == 0:
         raise ValueError("no rows to combine")
-    low = min(k, block_bits)
+    low = min(k, _ORACLE_BLOCK_BITS)
     block = span_table(rows[:low])
     best = n + 1
     for high in range(1 << (k - low)):

@@ -1,10 +1,8 @@
 """Acceptance gate: every criterion of the build contract, at stated sizes.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion with its measured runtime. The two heavy length-63 covering
-radius searches (2^24 and 2^27 syndromes) are opt-in:
-
-    BCHCOVER_LONG=1 pytest tests/test_acceptance.py -v -s
+criterion with its measured runtime. Every criterion runs, the two heavy
+length-63 covering radius searches (2^24 and 2^27 syndromes) among them.
 """
 
 import os
@@ -26,7 +24,6 @@ from bchcover.radius import covering_radius
 
 from conftest import bch_code, codeword_table, covering_radius_oracle, radius_result, random_code
 
-LONG_RUNS = os.environ.get("BCHCOVER_LONG") == "1"
 EXPECTED = Path(__file__).parent / "expected"
 
 
@@ -64,7 +61,7 @@ def test_criterion_1_table_rows_up_to_31(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 2. cheap length-63 rows; heavy rows opt-in with checkpointing
+# 2. length-63 rows; the heavy ones with checkpointing
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_length_63_cheap_rows():
@@ -83,18 +80,17 @@ def _pinned_radius(n: int, delta: int) -> tuple[int, tuple[int, ...], str]:
     return int(lines[0].removeprefix("R = ")), counts, lines[-1].split(",")[1]
 
 
-@pytest.mark.skipif(not LONG_RUNS, reason="set BCHCOVER_LONG=1 to search 2^24 and 2^27 syndromes")
 @pytest.mark.parametrize("delta,expected_r", [(9, 7), (11, 9)])
 def test_criterion_2_length_63_long_rows(tmp_path, delta, expected_r):
     ckpt = str(tmp_path / f"bch63_{delta}.ckpt")
     with Timer() as timer:
-        code, _ = build_bch(63, delta, codeword_budget=2)
+        code, _ = build_bch(63, delta)
         result = covering_radius(code, checkpoint_path=ckpt)
         assert result.covering_radius == expected_r
         assert (result.covering_radius, result.coset_count_by_weight, str(result.deepest_syndrome)) == \
             _pinned_radius(63, delta)
         assert os.path.exists(ckpt)
-        resumed = covering_radius(build_bch(63, delta, codeword_budget=2)[0], checkpoint_path=ckpt)
+        resumed = covering_radius(build_bch(63, delta)[0], checkpoint_path=ckpt)
         assert resumed == result
     report("2-long", timer, f"[63,{code.k}] R={expected_r}, pinned profile and deep hole, checkpoint resumable")
 

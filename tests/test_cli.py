@@ -93,6 +93,16 @@ def test_radius_output(capsys):
     assert lines[7].startswith("deepest_syndrome,")
 
 
+@pytest.mark.parametrize("n,delta,header", [
+    (17, 3, "code = BCH [17,9,5]"),       # exact d, above the designed 3
+    (63, 5, "code = BCH [63,51,d>=5]"),   # 2^51 codewords: the designed distance as a lower bound
+], ids=["exact", "lower-bound"])
+def test_radius_header_names_d(capsys, n, delta, header):
+    code, out, _ = run(capsys, "radius", "--n", str(n), "--delta", str(delta))
+    assert code == 0
+    assert out.splitlines()[1] == header
+
+
 def test_radius_weight_cap_error(capsys):
     code, _, err = run(capsys, "radius", "--n", "23", "--delta", "5", "--weight-cap", "2")
     assert code == 1

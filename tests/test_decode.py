@@ -131,7 +131,7 @@ def test_result_words_equal_checked_words():
         for w, dist in list_decode(code, Word(rng.getrandbits(31), 31), 6).entries:
             checked = Word(w.bits, w.n)
             assert type(w) is Word and w == checked and hash(w) == hash(checked)
-            assert (repr(w), w.weight(), w.n) == (repr(checked), checked.weight(), 31)
+            assert (repr(w), w.bits.bit_count(), w.n) == (repr(checked), checked.bits.bit_count(), 31)
             assert code.syndrome_int(w.bits) == 0 and 0 <= w.bits < 1 << 31 and dist <= 6
 
 

@@ -17,6 +17,7 @@ from bchcover.linear_code import (
 )
 from bchcover.manifest import TABLE1
 
+import conftest
 from conftest import bch_code, codeword_table, min_nonzero_weight, random_code
 
 HAMMING_G = BinaryPolynomial(0b1011)  # x^3 + x + 1
@@ -34,7 +35,7 @@ def test_word_text_roundtrip():
     w = Word.from_text("1101000")
     assert w.bits == 0b0001011 and w.n == 7
     assert str(w) == "1101000"
-    assert w.weight() == 3
+    assert w.bits.bit_count() == 3
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 31, 63, 64, 70])
@@ -195,10 +196,11 @@ def test_codeword_table_matches_enumeration():
 # minimum distance
 # ---------------------------------------------------------------------------
 
-def test_min_distance_budget_fallback():
+def test_min_distance_budget_fallback(monkeypatch):
     code = from_generator_poly(HAMMING_G, 7, designed_distance=3)
-    d, exactness = code.min_distance(codeword_budget=8)  # 2^4 > 8
-    assert (d, exactness) == (3, "lower_bound")
+    with monkeypatch.context() as m:
+        m.setattr(linear_code, "CODEWORD_BUDGET", 8)  # 2^4 > 8
+        assert code.min_distance() == (3, "lower_bound")
     assert code.min_distance() == (3, "exact")
 
 
@@ -213,13 +215,14 @@ def test_min_distance_known_values():
     assert bch_code(23, 5).min_distance() == (7, "exact")
 
 
-def test_min_nonzero_weight_chunked_agrees():
+def test_min_nonzero_weight_chunked_agrees(monkeypatch):
     rng = random.Random(11)
     code = random_code(rng, 18, 9)
     brute = min(code.codeword_int(m).bit_count() for m in range(1, 1 << code.k))
     assert min_nonzero_weight(code.generator_rows, code.n) == brute
     # chunked path (block smaller than k)
-    assert min_nonzero_weight(code.generator_rows, code.n, block_bits=4) == brute
+    monkeypatch.setattr(conftest, "_ORACLE_BLOCK_BITS", 4)
+    assert min_nonzero_weight(code.generator_rows, code.n) == brute
 
 
 @pytest.mark.parametrize("row", [r for r in TABLE1 if r.k <= 26], ids=lambda r: f"{r.n}-{r.k}")
@@ -231,13 +234,15 @@ def test_min_distance_matches_enumeration_on_table_rows(row):
 @pytest.mark.parametrize("n,k", [
     (12, 5), (14, 3), (12, 6), (16, 8), (12, 9), (18, 13), (10, 1), (1, 1), (9, 9), (13, 12),
 ])
-def test_weight_distribution_matches_codeword_table(n, k):
+def test_weight_distribution_matches_codeword_table(monkeypatch, n, k):
     rng = random.Random(1000 * n + k)
     for _ in range(3):
         code = random_code(rng, n, k)
         brute = np.bincount(np.bitwise_count(codeword_table(code)), minlength=n + 1)
         assert weight_distribution(code) == tuple(int(a) for a in brute)
-        assert linear_code._span_weights(code.generator_rows, n, block_bits=2) == brute.tolist()  # many blocks
+        with monkeypatch.context() as m:
+            m.setattr(linear_code, "_SPAN_BLOCK_BITS", 2)  # many blocks
+            assert linear_code._span_weights(code.generator_rows, n) == brute.tolist()
         assert code.min_distance() == (min(i for i in range(1, n + 1) if brute[i]), "exact")
 
 

@@ -345,7 +345,7 @@ def test_swap_bits_moves_bit_p_to_p_xor_d(monkeypatch, length):
 
 
 def test_swap_bits_on_an_offset_slice(monkeypatch):
-    # the sparse path permutes a slice of its scratch buffer in place
+    # the dense path permutes its block of the accumulator, a slice, in place
     monkeypatch.setattr(radius, "_SWAP_CHUNK", 8)
     buffer = np.random.default_rng(5).integers(0, 2**64, 40, dtype=np.uint64)
     tmp = np.empty(8, dtype=np.uint64)

@@ -4,7 +4,6 @@ from .bch import (
     BchSpec,
     build_bch,
     generator_polynomial,
-    minimal_polynomial,
     multiplicative_order_of_two,
 )
 from .bounds import (
@@ -50,7 +49,6 @@ __all__ = [
     "johnson_general_floor",
     "list_decode",
     "make_field",
-    "minimal_polynomial",
     "ml_decode",
     "multiplicative_order_of_two",
     "tau_wu",

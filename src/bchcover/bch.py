@@ -2,20 +2,21 @@
 
 For length n with m = ord_n(2), the code lives in GF(2^m) through the n-th
 root of unity beta = alpha^((2^m - 1)/n); the generator polynomial is the
-lcm of the minimal polynomials of beta^1 .. beta^(delta-1). Non-primitive
-lengths (n < 2^m - 1, e.g. 17 and 23) come out of the same construction.
+product of (x + beta^j) over the defining set Z = {r * 2^i mod n : 1 <= r <
+delta}, which is the lcm of the minimal polynomials of beta^1 ..
+beta^(delta-1). Non-primitive lengths (n < 2^m - 1, e.g. 17 and 23) come out
+of the same construction.
 
-``coset_of`` walks the doubling orbit of one exponent, ``minimal_polynomial``
-multiplies out the roots of one orbit, ``generator_polynomial`` takes the
-product over the distinct orbits below delta, and ``build_bch`` returns the
-code with its ``BchSpec``.
+``multiplicative_order_of_two`` gives m and refuses m > 16, past the field
+tables; ``generator_polynomial`` multiplies out the |Z| linear factors in
+GF(2^m); ``build_bch`` returns the code with its ``BchSpec``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2m import BinaryPolynomial, FieldContext, make_field
+from .gf2m import MAX_DEGREE, BinaryPolynomial, make_field
 from .linear_code import LinearCode, from_generator_poly
 
 
@@ -31,70 +32,40 @@ class BchSpec:
 
 
 def multiplicative_order_of_two(n: int) -> int:
-    """Smallest m >= 1 with 2^m = 1 (mod n); n must be odd and >= 3."""
+    """Smallest m >= 1 with 2^m = 1 (mod n); n must be odd and >= 3.
+
+    Stops after ``MAX_DEGREE`` doublings: a larger order has no field table.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
-    m, v = 1, 2 % n
-    while v != 1:
+    v = 2 % n
+    for m in range(1, MAX_DEGREE + 1):
+        if v == 1:
+            return m
         v = (2 * v) % n
-        m += 1
-    return m
-
-
-def coset_of(n: int, exponent: int) -> tuple[int, ...]:
-    """The cyclotomic coset of the exponent: its orbit under doubling mod n, sorted."""
-    members: list[int] = []
-    x = exponent % n
-    while x not in members:
-        members.append(x)
-        x = (2 * x) % n
-    return tuple(sorted(members))
-
-
-def minimal_polynomial(ctx: FieldContext, exponent: int, n: int) -> BinaryPolynomial:
-    """Minimal polynomial over GF(2) of beta^exponent, beta of order n.
-
-    The product of (x + beta^j) over the doubling orbit of the exponent is
-    conjugate-closed, so its coefficients collapse to GF(2).
-    """
-    if (ctx.order - 1) % n != 0:
-        raise ValueError(f"GF(2^{ctx.m}) has no element of order {n}")
-    step = (ctx.order - 1) // n
-    coeffs = [1]  # GF(2^m) coefficients, index = power of x
-    for j in coset_of(n, exponent):
-        root = ctx.alpha_power(step * j)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] ^= c
-            nxt[i] ^= ctx.mul(c, root)
-        coeffs = nxt
-    if any(c not in (0, 1) for c in coeffs):
-        raise AssertionError("minimal polynomial has non-binary coefficients")
-    v = 0
-    for i, c in enumerate(coeffs):
-        v |= c << i
-    return BinaryPolynomial(v)
+    raise ValueError(f"ord_n(2) exceeds {MAX_DEGREE} for n = {n}: no GF(2^m) table past m = {MAX_DEGREE}")
 
 
 def generator_polynomial(n: int, delta: int) -> BinaryPolynomial:
-    """lcm of the minimal polynomials of beta^1 .. beta^(delta-1).
+    """Product of (x + beta^j) over the defining set Z of beta^1 .. beta^(delta-1).
 
-    Distinct minimal polynomials are coprime, so the lcm is their product
-    over distinct cosets.
+    Z holds every r * 2^i mod n with 1 <= r < delta. It is closed under
+    doubling, so the product is the lcm of the minimal polynomials of
+    beta^1 .. beta^(delta-1) and its coefficients lie in GF(2).
     """
     if not 2 <= delta <= n:
         raise ValueError(f"designed distance must satisfy 2 <= delta <= n, got {delta}")
     m = multiplicative_order_of_two(n)
     ctx = make_field(m)
-    g = BinaryPolynomial(1)
-    done: set[int] = set()
-    for r in range(1, delta):
-        rep = coset_of(n, r)[0]
-        if rep in done:
-            continue
-        done.add(rep)
-        g = g * minimal_polynomial(ctx, r, n)
-    return g
+    step = (ctx.order - 1) // n
+    defining_set = {r * (1 << i) % n for r in range(1, delta) for i in range(m)}
+    coeffs = [1]  # GF(2^m) coefficients, index = power of x
+    for j in defining_set:
+        root = ctx.alpha_power(step * j)
+        coeffs = [a ^ ctx.mul(b, root) for a, b in zip([0, *coeffs], [*coeffs, 0])]  # * (x + root)
+    if any(c > 1 for c in coeffs):
+        raise AssertionError("generator polynomial has non-binary coefficients")
+    return BinaryPolynomial(sum(c << i for i, c in enumerate(coeffs)))
 
 
 def build_bch(n: int, delta: int) -> tuple[LinearCode, BchSpec]:
@@ -107,8 +78,6 @@ def build_bch(n: int, delta: int) -> tuple[LinearCode, BchSpec]:
     ``LinearCode.min_distance``), but the budget still gates on 2^k.
     """
     g = generator_polynomial(n, delta)
-    if int(g.degree) >= n:
-        raise ValueError(f"delta = {delta} consumes every root: k = 0, no code left")
     m = multiplicative_order_of_two(n)
     spec = BchSpec(n=n, m=m, delta=delta, b=1, beta_log=((1 << m) - 1) // n)
     code = from_generator_poly(g, n, designed_distance=delta)

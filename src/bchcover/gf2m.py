@@ -79,15 +79,6 @@ class BinaryPolynomial:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def __mul__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        a, b, r = self.value, other.value, 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        return BinaryPolynomial(r)
-
     def __divmod__(self, other: BinaryPolynomial) -> tuple[BinaryPolynomial, BinaryPolynomial]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by the zero polynomial")

@@ -1,47 +1,64 @@
+import time
+
 import pytest
 
-from bchcover.bch import (
-    build_bch,
-    coset_of,
-    generator_polynomial,
-    minimal_polynomial,
-    multiplicative_order_of_two,
-)
+from bchcover.bch import build_bch, generator_polynomial, multiplicative_order_of_two
 from bchcover.gf2m import BinaryPolynomial, make_field
 from bchcover.manifest import TABLE1
 
 from conftest import bch_code
 
 
+def roots_of_generator(n: int, delta: int) -> set[int]:
+    """The exponents j in [0, n) with g(beta^j) = 0."""
+    g = generator_polynomial(n, delta)
+    ctx = make_field(multiplicative_order_of_two(n))
+    step = (ctx.order - 1) // n
+    return {j for j in range(n) if ctx.eval_poly(g, ctx.alpha_power(step * j)) == 0}
+
+
 # ---------------------------------------------------------------------------
-# cyclotomic cosets
+# cyclotomic cosets, read off the roots of g
 # ---------------------------------------------------------------------------
 
 def test_coset_of_one_mod_15():
-    assert coset_of(15, 1) == (1, 2, 4, 8)
+    assert roots_of_generator(15, 2) == {1, 2, 4, 8}  # delta = 2: the coset of 1
 
 
 def test_coset_of_one_mod_17():
-    assert coset_of(17, 1) == (1, 2, 4, 8, 9, 13, 15, 16)
+    assert roots_of_generator(17, 2) == {1, 2, 4, 8, 9, 13, 15, 16}
     assert multiplicative_order_of_two(17) == 8
 
 
 def test_coset_of_one_mod_23():
-    assert len(coset_of(23, 1)) == 11
+    assert len(roots_of_generator(23, 2)) == 11
     assert multiplicative_order_of_two(23) == 11
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 17, 21, 23, 31, 63])
 def test_cosets_partition(n):
-    cosets = {coset_of(n, r) for r in range(n)}
-    union = [m for c in cosets for m in c]
-    assert sorted(union) == list(range(n))  # disjoint and covering
-    for c in cosets:
-        assert list(c) == sorted(c)
-        assert coset_of(n, c[-1]) == c
-        for m in c:
-            assert (2 * m) % n in c  # closed under doubling
+    # as delta grows, the roots of g grow by whole doubling orbits, each a
+    # simple root, until delta = n covers every nonzero exponent
+    previous: set[int] = set()
+    for delta in range(2, n + 1):
+        roots = roots_of_generator(n, delta)
+        assert previous <= roots and delta - 1 in roots
+        assert {2 * j % n for j in roots} == roots
+        assert generator_polynomial(n, delta).degree == len(roots)
+        previous = roots
+    assert previous == set(range(1, n))
 
+
+def test_minimal_polynomial_of_alpha_is_the_modulus():
+    # for n = 2^m - 1, beta = alpha, so g for delta = 2, the minimal
+    # polynomial of beta^1, must be the field modulus itself
+    for m in range(2, 17):
+        assert generator_polynomial((1 << m) - 1, 2) == make_field(m).primitive_poly
+
+
+# ---------------------------------------------------------------------------
+# multiplicative order of 2
+# ---------------------------------------------------------------------------
 
 def test_even_length_rejected():
     for n in (16, 10, 1):
@@ -49,39 +66,11 @@ def test_even_length_rejected():
             multiplicative_order_of_two(n)
 
 
-# ---------------------------------------------------------------------------
-# minimal polynomials
-# ---------------------------------------------------------------------------
-
-def test_minimal_polynomial_of_unity():
-    ctx = make_field(4)
-    assert minimal_polynomial(ctx, 0, 15) == BinaryPolynomial(0b11)  # x + 1
-
-
-def test_minimal_polynomial_of_alpha_is_the_modulus():
-    # for n = 2^m - 1, beta = alpha, so the minimal polynomial of beta^1
-    # must be the field modulus itself
-    ctx = make_field(4)
-    assert minimal_polynomial(ctx, 1, 15) == ctx.primitive_poly
-
-
-def test_minimal_polynomial_degree_is_coset_size():
-    ctx = make_field(8)
-    for e in (1, 3, 5):
-        assert minimal_polynomial(ctx, e, 17).degree == len(coset_of(17, e))
-
-
-def test_minimal_polynomial_vanishes_on_conjugates():
-    ctx = make_field(8)
-    step = 255 // 17
-    p = minimal_polynomial(ctx, 1, 17)
-    for j in coset_of(17, 1):
-        assert ctx.eval_poly(p, ctx.alpha_power(step * j)) == 0
-
-
-def test_minimal_polynomial_needs_compatible_field():
-    with pytest.raises(ValueError):
-        minimal_polynomial(make_field(4), 1, 17)  # 17 does not divide 15
+def test_order_past_the_field_tables_rejected_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"ord_n\(2\) exceeds 16"):
+        build_bch(1000000007, 3)  # ord = 500000003: refused after 16 doublings
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +83,20 @@ def test_generator_divides_ambient_modulus(row):
     assert (BinaryPolynomial.from_exponents(row.n, 0) % g).is_zero
 
 
-@pytest.mark.parametrize("row", TABLE1, ids=lambda r: f"n{r.n}-delta{r.delta}")
-def test_designed_roots_are_roots(row):
-    g = generator_polynomial(row.n, row.delta)
-    m = multiplicative_order_of_two(row.n)
-    ctx = make_field(m)
-    step = (ctx.order - 1) // row.n
-    for i in range(1, row.delta):
-        assert ctx.eval_poly(g, ctx.alpha_power(step * i)) == 0
+# every table row, and lengths with ord_n(2) = 6, 10, 12, 8, 9 and 7
+GENERATOR_CASES = [(row.n, row.delta) for row in TABLE1] + [
+    (n, delta) for n in (21, 33, 45, 51, 73, 127) for delta in (3, 5, 7, 11)
+]
+
+
+@pytest.mark.parametrize("n,delta", GENERATOR_CASES, ids=[f"n{n}-delta{d}" for n, d in GENERATOR_CASES])
+def test_designed_roots_are_roots(n, delta):
+    # the roots of g are exactly the defining set, which holds 1 .. delta - 1,
+    # each a simple root; a monic polynomial is fixed by its roots, so this pins g
+    m = multiplicative_order_of_two(n)
+    defining_set = {r * 2**i % n for r in range(1, delta) for i in range(m)}
+    assert generator_polynomial(n, delta).degree == len(defining_set)
+    assert roots_of_generator(n, delta) == defining_set
 
 
 @pytest.mark.parametrize("row", TABLE1, ids=lambda r: f"n{r.n}-delta{r.delta}")
@@ -157,5 +152,5 @@ def test_bad_parameters_rejected():
         build_bch(15, 1)      # delta < 2
     with pytest.raises(ValueError):
         build_bch(15, 16)     # delta > n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ord_n\(2\) exceeds 16"):
         build_bch(37, 3)      # ord_37(2) = 36 exceeds the field table

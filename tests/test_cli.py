@@ -47,6 +47,17 @@ def test_table1_skips_heavy_rows_by_default(capsys):
     assert "R unknown" in rows[("63", "36")]
 
 
+def test_table1_long_running(capsys):
+    code, out, err = run(capsys, "table1", "--long-running", "--jobs", "2")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:15] == (EXPECTED / "table1.csv").read_text().splitlines()[:15]
+    assert lines[15:] == [
+        "63,39,9,4,7,4,4,false,false,false,d is a lower bound",
+        "63,36,11,5,9,5,6,false,false,false,d is a lower bound",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # johnson
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from bchcover.bounds import classify
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
 from bchcover.gf2m import BinaryPolynomial
 from bchcover import radius
+from bchcover.manifest import TABLE1
 from bchcover.radius import StratumEvent, WeightCapExceeded, covering_radius
 
 from conftest import (
@@ -110,6 +111,21 @@ def test_result_invariants(n, delta):
     assert all(c > 0 for c in counts)
     # sphere-covering: balls of radius R must cover the syndrome space
     assert sum(math.comb(code.n, w) for w in range(result.covering_radius + 1)) >= sum(counts)
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in TABLE1 if (row.n, row.k) != (63, 36)], ids=lambda r: f"n{r.n}-k{r.k}"
+)
+def test_coset_profile_brackets_d(row):
+    # The words of weight <= t lead distinct cosets exactly when d >= 2t + 1,
+    # and those of weight t + 1 do exactly when d >= 2t + 3. The search shares
+    # no code with min_distance, so on a lower-bound row this puts the true d
+    # at delta or delta + 1.
+    d, _ = bch_code(row.n, row.delta).min_distance()
+    t = (d - 1) // 2
+    counts = radius_result(row.n, row.delta).coset_count_by_weight + (0,) * (t + 2)  # past R: 0
+    assert all(counts[w] == math.comb(row.n, w) for w in range(t + 1))
+    assert counts[t + 1] < math.comb(row.n, t + 1)
 
 
 def test_deepest_syndrome_is_a_deep_hole():

@@ -71,15 +71,11 @@ def generator_polynomial(n: int, delta: int) -> BinaryPolynomial:
 def build_bch(n: int, delta: int) -> tuple[LinearCode, BchSpec]:
     """Construct the narrow-sense BCH code of length n and designed distance delta.
 
-    Calls ``min_distance`` once, so the exact minimum distance is computed
-    here when 2^k fits ``CODEWORD_BUDGET`` and kept on the code; otherwise
-    the code carries delta as a designed-distance lower bound. Computing it
-    enumerates 2^min(k, n-k) words (the code or its dual, see
-    ``LinearCode.min_distance``), but the budget still gates on 2^k.
+    Only builds: the code carries delta as its designed distance, and the
+    minimum distance is left to ``LinearCode.min_distance``, computed by
+    whoever reads it.
     """
     g = generator_polynomial(n, delta)
     m = multiplicative_order_of_two(n)
     spec = BchSpec(n=n, m=m, delta=delta, b=1, beta_log=((1 << m) - 1) // n)
-    code = from_generator_poly(g, n, designed_distance=delta)
-    code.min_distance()
-    return code, spec
+    return from_generator_poly(g, n, designed_distance=delta), spec

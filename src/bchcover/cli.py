@@ -60,6 +60,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_johnson(args: argparse.Namespace) -> int:
+    if args.n < 2:  # before the header, so a rejected value prints nothing to stdout
+        raise ValueError(f"need n >= 2, got {args.n}")
     if args.steps is not None:
         if args.steps < 2:
             raise ValueError(f"need at least 2 steps, got {args.steps}")
@@ -189,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, RuntimeError) as exc:
+    except (ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
         print(f"bchcover: error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,13 +10,12 @@ rows, ``syndrome_int``, ``codeword_int``, ``min_distance``),
 ``from_generator_poly`` for cyclic codes, and ``weight_distribution``,
 which counts the smaller of C and its dual and applies MacWilliams.
 
-A LinearCode's matrices are fixed at construction; syndromes, codewords
-and the weight distribution are pure functions of them, so codes are safe
-to share across workers. One thing stays mutable: the memo of the exact
-minimum distance, filled by the first ``min_distance`` call that can afford
-it, a pure function of the code. Results derived from a code, such as its
-covering radius, are values returned to the caller and never stored on the
-code.
+A LinearCode holds its generator and parity-check rows, n, k and the
+designed distance, all fixed at construction. Syndromes, codewords, the
+weight distribution and the minimum distance are pure functions of them,
+recomputed on each call, so codes are safe to share across workers.
+Results derived from a code, such as its covering radius, are values
+returned to the caller and never stored on the code.
 """
 
 from __future__ import annotations
@@ -131,7 +130,6 @@ class LinearCode:
         self.k = k
         self.generator_rows = tuple(generator_rows)
         self.designed_distance = designed_distance
-        self._min_distance: int | None = None  # exact, once computed
 
         nonpivots = sorted(set(range(n)).difference(pivots))
         h_rows = []
@@ -156,23 +154,19 @@ class LinearCode:
 
         The exact value is the least i >= 1 with A_i > 0 in
         ``weight_distribution``, which enumerates 2^min(k, n-k) words; the
-        budget, read at call time, still gates on 2^k. The exact value is
-        kept for later calls. The lower bound is the stored designed
-        distance (1 if none is known).
+        budget, read at call time, still gates on 2^k. Each call computes
+        it afresh. The lower bound is the stored designed distance (1 if
+        none is known).
         """
-        if self._min_distance is not None:
-            return self._min_distance, "exact"
         if self.k == 0:
             return self.n + 1, "exact"  # empty code: no nonzero codeword
         if (1 << self.k) <= CODEWORD_BUDGET:
             weights = weight_distribution(self)
-            self._min_distance = next(i for i in range(1, self.n + 1) if weights[i])
-            return self._min_distance, "exact"
+            return next(i for i in range(1, self.n + 1) if weights[i]), "exact"
         return self.designed_distance or 1, "lower_bound"
 
     def __repr__(self) -> str:
-        d = "" if self._min_distance is None else f",{self._min_distance}"
-        return f"LinearCode([{self.n},{self.k}{d}])"
+        return f"LinearCode([{self.n},{self.k}])"
 
 
 def from_generator_poly(

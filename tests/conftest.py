@@ -4,14 +4,33 @@ import functools
 import random
 
 import numpy as np
+import pytest
 
-from bchcover import LinearCode, RadiusResult, Word, build_bch, covering_radius
+from bchcover import LinearCode, RadiusResult, Word, build_bch, covering_radius, linear_code
 
 # The brute-force oracles below share no code with the engines they check:
 # the weight distribution, the split decoding index and the radius search.
 _ORACLE_GUARD_N = 16
 _ORACLE_GUARD_NK = 30
 _ORACLE_BLOCK_BITS = 20  # min_nonzero_weight enumerates 2^20 combinations at a time
+
+
+@pytest.fixture
+def span_weight_calls(monkeypatch) -> list[int]:
+    """Spy on ``linear_code._span_weights``: the row count of each call, in order.
+
+    Every weight distribution, so every exact minimum distance, enumerates
+    through it, so an empty list means no distance was computed.
+    """
+    calls: list[int] = []
+    span_weights = linear_code._span_weights
+
+    def spy(rows, n):
+        calls.append(len(rows))
+        return span_weights(rows, n)
+
+    monkeypatch.setattr(linear_code, "_span_weights", spy)
+    return calls
 
 
 @functools.lru_cache(maxsize=None)

@@ -145,6 +145,12 @@ def test_designed_distance_kept_as_lower_bound():
     assert code.min_distance() == (5, "lower_bound")
 
 
+def test_build_computes_no_distance(span_weight_calls):
+    for row in TABLE1:
+        build_bch(row.n, row.delta)
+    assert span_weight_calls == []
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         build_bch(16, 3)      # even length

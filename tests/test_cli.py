@@ -88,6 +88,13 @@ def test_johnson_rejects_single_step(capsys):
     assert "steps" in err
 
 
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "-3"), ("--n", "1", "--steps", "2")])
+def test_johnson_rejects_n_below_2_before_any_output(capsys, argv):
+    code, out, err = run(capsys, "johnson", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"bchcover: error: need n >= 2, got {argv[1]}\n"
+
+
 # ---------------------------------------------------------------------------
 # radius
 # ---------------------------------------------------------------------------
@@ -152,6 +159,19 @@ def test_radius_refuses_an_npz_checkpoint(capsys, tmp_path):
     assert ckpt.read_bytes() == raw
 
 
+def test_radius_reports_an_unwritable_checkpoint(capsys, tmp_path):
+    ckpt = str(tmp_path / "missing" / "r.ckpt")  # written after stratum 1, through r.ckpt.tmp
+    code, out, err = run(capsys, "radius", "--n", "15", "--delta", "5", "--checkpoint", ckpt)
+    assert (code, out) == (1, "")
+    assert err.startswith("bchcover: error:") and err.count("\n") == 1 and ckpt in err
+
+
+def test_radius_reports_a_checkpoint_that_is_a_directory(capsys, tmp_path):
+    code, out, err = run(capsys, "radius", "--n", "15", "--delta", "5", "--checkpoint", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("bchcover: error:") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 def test_radius_jobs_do_not_change_output(capsys):
     baseline = run(capsys, "radius", "--n", "17", "--delta", "3")
     for jobs in ("2", "5"):
@@ -204,6 +224,14 @@ def test_classify_output(capsys):
     assert "wu_covered = true" in lines
     assert "strictly_covered = false" in lines
     assert "comment = Wu-covered code" in lines
+
+
+# The README example (exact d) and a length-63 row whose d is the designed
+# distance, reported as a lower bound.
+@pytest.mark.parametrize("n,delta", [(23, 5), (63, 5)])
+def test_classify_output_pinned(capsys, n, delta):
+    expected = (EXPECTED / f"classify_n{n}_delta{delta}.txt").read_text()
+    assert run(capsys, "classify", "--n", str(n), "--delta", str(delta)) == (0, expected, "")
 
 
 def test_classify_golay(capsys):
@@ -309,10 +337,33 @@ def test_error_exit_on_even_length(capsys):
 
 
 def test_error_exit_past_64_bit_words(capsys):
-    # [127,15]: 2^15 codewords fit the budget, but a length-127 word does not fit a uint64
-    code, out, err = run(capsys, "classify", "--n", "127", "--delta", "55")
+    # [127,15]: 2^15 codewords fit the budget, but a length-127 word does not
+    # fit a uint64; bounded mode is the decoder that needs the exact d
+    code, out, err = run(capsys, "decode", "--n", "127", "--delta", "55", "--word", "0x0", "--mode", "bounded")
     assert code == 1 and out == ""
     assert err.startswith("bchcover: error:") and "64" in err
+
+
+def test_classify_refuses_a_syndrome_space_past_32_bits(capsys):
+    # [127,15]: the radius search, which classify runs first, needs n - k <= 32
+    code, out, err = run(capsys, "classify", "--n", "127", "--delta", "55")
+    assert code == 1 and out == ""
+    assert err.startswith("bchcover: error:") and "n - k <= 32" in err
+
+
+# ml and list mode on [31,16], and list mode on [127,15], whose d cannot be
+# computed on 64-bit words
+@pytest.mark.parametrize("n,delta,mode,extra", [
+    (31, 7, "ml", ()),
+    (31, 7, "list", ("--tau", "3")),
+    (127, 55, "list", ("--tau", "1")),
+])
+def test_decode_computes_no_distance(capsys, span_weight_calls, n, delta, mode, extra):
+    argv = ("decode", "--n", str(n), "--delta", str(delta), "--word", "0x0", "--mode", mode, *extra)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["codeword,distance", "0" * n + ",0"]
+    assert span_weight_calls == []
 
 
 def test_radius_past_64_bit_words_without_exact_d(capsys):

@@ -201,6 +201,17 @@ def test_scan_matches_codeword_oracle_on_every_syndrome():
     assert ml_decode(repeated, c, weight_cap=0, strategy="scan").entries == ((c, 0),)
 
 
+def test_list_and_ml_past_64_bit_words():
+    # [127,15]: the weight distribution cannot run on 127-bit words, and the
+    # decoders never need it, so the code builds and decodes like any other
+    code, _ = build_bch(127, 55)
+    assert code.k == 15
+    c = Word(code.codeword_int(0b101100111000101), 127)
+    v = Word(c.bits ^ (1 << 100), 127)
+    assert list_decode(code, v, 1).entries == ((c, 1),)
+    assert ml_decode(code, v).entries == ((c, 1),)
+
+
 # ---------------------------------------------------------------------------
 # the split index
 # ---------------------------------------------------------------------------

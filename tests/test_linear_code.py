@@ -227,7 +227,7 @@ def test_min_nonzero_weight_chunked_agrees(monkeypatch):
 
 @pytest.mark.parametrize("row", [r for r in TABLE1 if r.k <= 26], ids=lambda r: f"{r.n}-{r.k}")
 def test_min_distance_matches_enumeration_on_table_rows(row):
-    code = from_generator_poly(BinaryPolynomial(bch_code(row.n, row.delta).generator_rows[0]), row.n)  # fresh, no memo
+    code = bch_code(row.n, row.delta)
     assert code.min_distance() == (min_nonzero_weight(code.generator_rows, code.n), "exact")
 
 
@@ -256,20 +256,21 @@ def test_krawtchouk_column_matches_definition():
             assert _krawtchouk_column(n, j) == definition
 
 
-def test_min_distance_enumerates_the_smaller_of_code_and_dual(monkeypatch):
-    enumerated = []
-    span_weights = linear_code._span_weights
-
-    def spy(rows, n):
-        enumerated.append(len(rows))
-        return span_weights(rows, n)
-
-    monkeypatch.setattr(linear_code, "_span_weights", spy)
+def test_min_distance_enumerates_the_smaller_of_code_and_dual(span_weight_calls):
     for delta, k in ((3, 26), (5, 21), (11, 11), (15, 6)):
-        code = from_generator_poly(BinaryPolynomial(bch_code(31, delta).generator_rows[0]), 31)
+        code = bch_code(31, delta)
         assert code.k == k
         code.min_distance()
-        assert enumerated.pop() == min(k, 31 - k)
+        assert span_weight_calls.pop() == min(k, 31 - k)
+
+
+def test_min_distance_leaves_the_code_unchanged(span_weight_calls):
+    code, _ = build_bch(31, 11)
+    before = dict(vars(code))
+    assert code.min_distance() == (11, "exact")
+    assert vars(code) == before
+    assert code.min_distance() == (11, "exact")
+    assert span_weight_calls == [11, 11]  # nothing kept: each call enumerates again
 
 
 @pytest.mark.parametrize("delta", [3, 5, 7])

@@ -15,8 +15,8 @@ from .bounds import (
     johnson_general_floor,
     tau_wu,
 )
-from .decode import DecodeResult, bounded_decode, list_decode, ml_decode
-from .gf2m import BinaryPolynomial, FieldContext, PRIMITIVE_POLYS, make_field
+from .decode import DecodeResult, list_decode, ml_decode
+from .gf2m import FieldContext, PRIMITIVE_POLYS, make_field
 from .linear_code import LinearCode, Word, from_generator_poly
 from .manifest import TABLE1, TableRow
 from .radius import RadiusResult, StratumEvent, WeightCapExceeded, covering_radius
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BchSpec",
-    "BinaryPolynomial",
     "CoverageReport",
     "DecodeResult",
     "FieldContext",
@@ -38,7 +37,6 @@ __all__ = [
     "Word",
     "WeightCapExceeded",
     "WuRadius",
-    "bounded_decode",
     "build_bch",
     "classify",
     "covering_radius",

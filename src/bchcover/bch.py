@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2m import MAX_DEGREE, BinaryPolynomial, make_field
+from .gf2m import MAX_DEGREE, make_field
 from .linear_code import LinearCode, from_generator_poly
 
 
@@ -46,12 +46,13 @@ def multiplicative_order_of_two(n: int) -> int:
     raise ValueError(f"ord_n(2) exceeds {MAX_DEGREE} for n = {n}: no GF(2^m) table past m = {MAX_DEGREE}")
 
 
-def generator_polynomial(n: int, delta: int) -> BinaryPolynomial:
+def generator_polynomial(n: int, delta: int) -> int:
     """Product of (x + beta^j) over the defining set Z of beta^1 .. beta^(delta-1).
 
     Z holds every r * 2^i mod n with 1 <= r < delta. It is closed under
     doubling, so the product is the lcm of the minimal polynomials of
-    beta^1 .. beta^(delta-1) and its coefficients lie in GF(2).
+    beta^1 .. beta^(delta-1) and its coefficients lie in GF(2). Returned
+    as an int, bit i the coefficient of x^i.
     """
     if not 2 <= delta <= n:
         raise ValueError(f"designed distance must satisfy 2 <= delta <= n, got {delta}")
@@ -65,7 +66,7 @@ def generator_polynomial(n: int, delta: int) -> BinaryPolynomial:
         coeffs = [a ^ ctx.mul(b, root) for a, b in zip([0, *coeffs], [*coeffs, 0])]  # * (x + root)
     if any(c > 1 for c in coeffs):
         raise AssertionError("generator polynomial has non-binary coefficients")
-    return BinaryPolynomial(sum(c << i for i, c in enumerate(coeffs)))
+    return sum(c << i for i, c in enumerate(coeffs))
 
 
 def build_bch(n: int, delta: int) -> tuple[LinearCode, BchSpec]:

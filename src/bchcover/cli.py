@@ -13,7 +13,7 @@ import sys
 
 from .bch import build_bch
 from .bounds import classify, johnson_binary_floor, johnson_curve, johnson_general_floor
-from .decode import bounded_decode, list_decode, ml_decode
+from .decode import list_decode, ml_decode
 from .linear_code import Word
 from .manifest import TABLE1, find_row
 from .radius import covering_radius
@@ -128,7 +128,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.mode == "ml":
         result = ml_decode(code, v)
     elif args.mode == "bounded":
-        result = bounded_decode(code, v)
+        d, exactness = code.min_distance()
+        if exactness != "exact":
+            raise ValueError("bounded decoding needs the exact minimum distance")
+        result = list_decode(code, v, (d - 1) // 2)
     else:
         if args.tau is None:
             raise ValueError("list mode needs --tau")

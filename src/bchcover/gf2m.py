@@ -1,8 +1,8 @@
-"""Arithmetic in GF(2)[x] and in the extension fields GF(2^m), 2 <= m <= 16.
+"""Arithmetic in the extension fields GF(2^m), 2 <= m <= 16.
 
-Polynomials over GF(2) are ints: bit i is the coefficient of x^i, so the
-leading coefficient of a nonzero polynomial is 1 by construction and the
-zero polynomial is 0 (its degree is the -inf sentinel, never -1).
+Polynomials over GF(2), such as the moduli below and the BCH generators,
+are plain ints: bit i is the coefficient of x^i, so a nonzero polynomial p
+has degree p.bit_length() - 1 and the zero polynomial is 0.
 
 Field elements are ints in [0, 2^m): bit i is the coefficient of alpha^i in
 the polynomial basis, where alpha is a root of the modulus. Each degree uses
@@ -24,10 +24,6 @@ threads; all operations are pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-NEGATIVE_INFINITY = float("-inf")
 
 # Lexicographically smallest primitive polynomial per degree, as int bitmasks.
 PRIMITIVE_POLYS: dict[int, int] = {
@@ -52,57 +48,6 @@ MIN_DEGREE = 2
 MAX_DEGREE = 16
 
 
-@dataclass(frozen=True)
-class BinaryPolynomial:
-    """Polynomial over GF(2); bit i of ``value`` is the coefficient of x^i."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("polynomial bitmask must be non-negative")
-
-    @classmethod
-    def from_exponents(cls, *exponents: int) -> BinaryPolynomial:
-        """Build x^e1 + x^e2 + ... from the given exponents."""
-        v = 0
-        for e in exponents:
-            v |= 1 << e
-        return cls(v)
-
-    @property
-    def degree(self) -> int | float:
-        """Degree of the polynomial; -inf for the zero polynomial."""
-        return self.value.bit_length() - 1 if self.value else NEGATIVE_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __divmod__(self, other: BinaryPolynomial) -> tuple[BinaryPolynomial, BinaryPolynomial]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        q, r = 0, self.value
-        db = other.value.bit_length()
-        while r.bit_length() >= db:
-            shift = r.bit_length() - db
-            q |= 1 << shift
-            r ^= other.value << shift
-        return BinaryPolynomial(q), BinaryPolynomial(r)
-
-    def __mod__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return divmod(self, other)[1]
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(self.value.bit_length() - 1, -1, -1):
-            if (self.value >> i) & 1:
-                terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-        return " + ".join(terms)
-
-
 class FieldContext:
     """GF(2^m) with precomputed log/exp tables (O(1) multiply).
 
@@ -116,7 +61,7 @@ class FieldContext:
         if not MIN_DEGREE <= m <= MAX_DEGREE:
             raise ValueError(f"extension degree m={m} out of range [{MIN_DEGREE}, {MAX_DEGREE}]")
         self.m = m
-        self.primitive_poly = BinaryPolynomial(PRIMITIVE_POLYS[m])
+        self.primitive_poly = PRIMITIVE_POLYS[m]
         self.order = 1 << m
         exp = [0] * (self.order - 1)
         log = [0] * self.order
@@ -126,7 +71,7 @@ class FieldContext:
             log[x] = i
             x <<= 1
             if x & self.order:
-                x ^= self.primitive_poly.value
+                x ^= self.primitive_poly
         if x != 1:
             raise AssertionError(f"modulus for m={m} is not primitive")
         self.exp_table = tuple(exp)
@@ -142,15 +87,15 @@ class FieldContext:
         """alpha^i for any integer exponent i."""
         return self.exp_table[i % (self.order - 1)]
 
-    def eval_poly(self, p: BinaryPolynomial, x: int) -> int:
-        """Evaluate a GF(2) polynomial at a field element x, by Horner."""
+    def eval_poly(self, p: int, x: int) -> int:
+        """Evaluate the GF(2) polynomial p (an int) at a field element x, by Horner."""
         acc = 0
-        for i in range(p.value.bit_length() - 1, -1, -1):
-            acc = self.mul(acc, x) ^ ((p.value >> i) & 1)
+        for i in range(p.bit_length() - 1, -1, -1):
+            acc = self.mul(acc, x) ^ ((p >> i) & 1)
         return acc
 
     def __repr__(self) -> str:
-        return f"FieldContext(GF(2^{self.m}), modulus={self.primitive_poly})"
+        return f"FieldContext(GF(2^{self.m}), modulus={self.primitive_poly:#b})"
 
 
 def make_field(m: int) -> FieldContext:

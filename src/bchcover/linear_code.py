@@ -7,8 +7,9 @@ polynomial 1 + x + x^3.
 
 The module holds ``Word``, ``LinearCode`` (generator and parity-check
 rows, ``syndrome_int``, ``codeword_int``, ``min_distance``),
-``from_generator_poly`` for cyclic codes, and ``weight_distribution``,
-which counts the smaller of C and its dual and applies MacWilliams.
+``from_generator_poly`` for cyclic codes (the generator g is an int, bit i
+the coefficient of x^i, like a word), and ``weight_distribution``, which
+counts the smaller of C and its dual and applies MacWilliams.
 
 A LinearCode holds its generator and parity-check rows, n, k and the
 designed distance, all fixed at construction. Syndromes, codewords, the
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-
-from .gf2m import BinaryPolynomial
 
 CODEWORD_BUDGET = 1 << 26  # min_distance is exact when 2^k fits it
 _SPAN_BLOCK_BITS = 20      # _span_weights enumerates blocks of 2^20 words
@@ -170,24 +169,28 @@ class LinearCode:
 
 
 def from_generator_poly(
-    g: BinaryPolynomial,
+    g: int,
     n: int,
     designed_distance: int | None = None,
 ) -> LinearCode:
     """Cyclic [n, n - deg g] code with generator rows g(x) x^i.
 
+    g is a GF(2) polynomial as an int, bit i the coefficient of x^i.
     Rejects generators that do not divide x^n + 1 (such rows would not span
     a cyclic code).
     """
-    if g.is_zero:
-        raise ValueError("zero generator polynomial")
-    x_n_1 = BinaryPolynomial.from_exponents(n, 0)
-    if not (x_n_1 % g).is_zero:
-        raise ValueError(f"g = {g} does not divide x^{n} + 1")
-    k = n - int(g.degree)
+    if g <= 0:
+        raise ValueError(f"generator polynomial must be a positive bitmask, got {g}")
+    deg = g.bit_length() - 1
+    r = (1 << n) | 1  # x^n + 1, reduced mod g by clearing its top bit while deg r >= deg g
+    while r.bit_length() > deg:
+        r ^= g << (r.bit_length() - 1 - deg)
+    if r:
+        raise ValueError(f"g = {g:#b} does not divide x^{n} + 1")
+    k = n - deg
     if k <= 0:
-        raise ValueError(f"degenerate code: deg g = {int(g.degree)} leaves k = {k}")
-    rows = [g.value << i for i in range(k)]
+        raise ValueError(f"degenerate code: deg g = {deg} leaves k = {k}")
+    rows = [g << i for i in range(k)]
     return LinearCode(rows, n, designed_distance=designed_distance)
 
 

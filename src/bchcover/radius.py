@@ -53,12 +53,13 @@ All three paths give the same translates, into one accumulator. The seeds
 are ORed in after the path returns, because the pull clears every unreached
 syndrome that no translate hits, seeds included. On dense strata the
 workers split the words, not the columns: the accumulator is cut into
-blocks of equal size, each of ``jobs`` threads owns a contiguous run of
-them, and it walks every column over each of its blocks, reading the
-untouched ``reached`` (``_dense_blocks``). Sparse and pull strata run on the
-calling thread. A word of the accumulator is the OR of the same permuted
-words of ``reached`` whatever the blocks and threads, so every stratum, and
-hence the output, is bit-identical for any worker count.
+blocks of ``_DENSE_BLOCK`` words (one block if it holds fewer), each of
+min(jobs, blocks) threads owns a contiguous run of them, and it walks every
+column over each of its blocks, reading the untouched ``reached``
+(``_dense_blocks``). With one block there is no pool. Sparse and pull
+strata run on the calling thread. A word of the accumulator is the OR of
+the same permuted words of ``reached`` whatever the blocks and threads, so
+every stratum, and hence the output, is bit-identical for any worker count.
 
 A checkpoint file, if requested, is rewritten after each stratum that
 leaves syndromes unreached, through ``<path>.tmp`` and an atomic rename. It
@@ -566,8 +567,9 @@ def covering_radius(
     Stops with WeightCapExceeded if strata up to ``weight_cap`` do not cover
     all 2^(n-k) syndromes (the default cap n can never trigger), also when
     a resumed checkpoint is already past the cap; a negative cap is a
-    ValueError before any checkpoint is read. ``jobs`` threads split the
-    words of each dense stratum; the result does not depend on it.
+    ValueError before any checkpoint is read. Up to ``jobs`` threads, at
+    most one per dense block of ``_DENSE_BLOCK`` words, split the words of
+    each dense stratum; the result does not depend on it.
     ``on_event``, if given, receives a StratumEvent after each stratum this
     call computes. The code is left unchanged; callers keep the returned
     result.
@@ -598,11 +600,11 @@ def covering_radius(
     seen, deepest = sum(counts), 0
     steps, seed_cols = _column_walk(code)
     seeds = _seed_syndromes(seed_cols)
-    # Each worker owns a contiguous run of dense blocks, which hold
-    # _DENSE_BLOCK words, or fewer where that gives every worker a block.
-    workers = min(jobs, words)
-    block = min(_DENSE_BLOCK, 1 << (words // workers).bit_length() - 1)
+    # Each worker owns a contiguous run of at least one dense block, so
+    # below two blocks the calling thread walks them with no pool.
+    block = min(_DENSE_BLOCK, words)
     blocks = words // block
+    workers = min(jobs, blocks)
     work = [(range(blocks * j // workers, blocks * (j + 1) // workers), np.empty(min(words, _SWAP_CHUNK), np.uint64))
             for j in range(workers)]
     acc = np.empty(words, dtype=np.uint64)

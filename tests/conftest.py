@@ -117,6 +117,14 @@ def word_with_syndrome(code: LinearCode, syndrome: int) -> Word:
     return Word(bits, code.n)
 
 
+def ref_mod(a: int, b: int) -> int:
+    """Carry-less remainder a mod b in GF(2)[x]; polynomials are ints, bit i the coefficient of x^i."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
 def min_nonzero_weight(rows: tuple[int, ...] | list[int], n: int) -> int:
     """Minimum weight over all nonzero GF(2) combinations of the rows: the brute-force d oracle.
 

@@ -272,6 +272,13 @@ def test_decode_bounded_mode(capsys):
     assert "radius_used = 2" in out
 
 
+def test_decode_bounded_needs_exact_distance(capsys):
+    # [63,51]: 2^51 codewords are over the budget, so d is only a lower bound
+    code, out, err = run(capsys, "decode", "--n", "63", "--delta", "5", "--word", "0x0", "--mode", "bounded")
+    assert (code, out) == (1, "")
+    assert err == "bchcover: error: bounded decoding needs the exact minimum distance\n"
+
+
 def test_decode_hex_word(capsys):
     plain = run(capsys, "decode", "--n", "7", "--delta", "3", "--word", "1101000", "--mode", "ml")
     hexed = run(capsys, "decode", "--n", "7", "--delta", "3", "--word", "0x0b", "--mode", "ml")
@@ -342,6 +349,18 @@ def test_error_exit_past_64_bit_words(capsys):
     code, out, err = run(capsys, "decode", "--n", "127", "--delta", "55", "--word", "0x0", "--mode", "bounded")
     assert code == 1 and out == ""
     assert err.startswith("bchcover: error:") and "64" in err
+
+
+# a seeded random [127,15] word, hex(random.Random(127).getrandbits(127)):
+# its nearest codeword is far past the scan's limit, which ML reaches at w = 5
+SCAN_GUARD_WORD = "0x4a4db8189fb81994e990bf360b6951b3"
+
+
+def test_decode_ml_refuses_a_scan_past_its_limit(capsys):
+    code, out, err = run(capsys, "decode", "--n", "127", "--delta", "55", "--word", SCAN_GUARD_WORD, "--mode", "ml")
+    assert (code, out) == (1, "")
+    assert err.startswith("bchcover: error: scan of [127,15] refused at w = 5:")
+    assert "_SCAN_MAX_PREFIXES = 1048576" in err
 
 
 def test_classify_refuses_a_syndrome_space_past_32_bits(capsys):

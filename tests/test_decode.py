@@ -8,7 +8,7 @@ import pytest
 from bchcover import decode
 from bchcover.bch import build_bch
 from bchcover.bounds import johnson_binary_floor
-from bchcover.decode import _split_index, bounded_decode, list_decode, ml_decode
+from bchcover.decode import _split_index, list_decode, ml_decode
 from bchcover.linear_code import LinearCode, Word, _rref
 from bchcover.manifest import TABLE1
 from bchcover.radius import covering_radius
@@ -466,6 +466,17 @@ def test_ml_split_refuses_long_codes():
         ml_decode(code, Word(0, 63), strategy="split")
 
 
+def test_scan_refuses_list_decoding_past_its_limit():
+    # [63,51]: weights 1-5 walk 637,393 prefixes, weight 6 another C(63, 5), so
+    # list decoding at tau 10 is refused before its walk; ML, which stops at
+    # its first match, still decodes a word at distance 1 with the cap n
+    code = bch_code(63, 5)
+    v = Word(1, 63)
+    with pytest.raises(ValueError, match=r"scan of \[63,51\] refused at w = 6: .* _SCAN_MAX_PREFIXES = 1048576"):
+        list_decode(code, v, 10)
+    assert ml_decode(code, v).entries == ((Word(0, 63), 1),)
+
+
 def test_result_reports_strategy():
     for row in TABLE1:
         if row.n > 31:
@@ -493,17 +504,25 @@ def test_ml_termination_within_binary_johnson_on_covered_codes():
 
 
 # ---------------------------------------------------------------------------
-# bounded decoding
+# bounded decoding: list decoding at the packing radius t = floor((d-1)/2)
 # ---------------------------------------------------------------------------
 
+def packing_radius(code: LinearCode) -> int:
+    d, exactness = code.min_distance()
+    assert exactness == "exact"
+    return (d - 1) // 2
+
+
 def test_bounded_corrects_up_to_t():
-    code = bch_code(15, 5)  # t = 2
+    code = bch_code(15, 5)
+    t = packing_radius(code)
+    assert t == 2
     rng = random.Random(41)
     for _ in range(50):
         c = Word(code.codeword_int(rng.randrange(1 << 7)), 15)
         i, j = rng.sample(range(15), 2)
         v = Word(c.bits ^ (1 << i) ^ (1 << j), 15)
-        result = bounded_decode(code, v)
+        result = list_decode(code, v, t)
         assert result.entries == ((c, 2),)
 
 
@@ -511,19 +530,14 @@ def test_bounded_empty_beyond_packing_radius():
     code = bch_code(15, 5)
     deep = covering_radius(code).deepest_syndrome
     v = word_with_syndrome(code, deep.bits)  # leader weight 3 = t + 1
-    assert bounded_decode(code, v).entries == ()
+    assert list_decode(code, v, packing_radius(code)).entries == ()
 
 
 @pytest.mark.parametrize("n,delta,samples", [(15, 5, 10_000), (17, 3, 10_000), (23, 5, 2_000), (31, 11, 2_000)])
 def test_bounded_uniqueness(n, delta, samples):
     code = bch_code(n, delta)
+    t = packing_radius(code)
     rng = random.Random(n)
     for _ in range(samples):
         v = Word(rng.randrange(1 << n), n)
-        assert len(bounded_decode(code, v).entries) <= 1
-
-
-def test_bounded_needs_exact_distance():
-    code, _ = build_bch(63, 5)
-    with pytest.raises(ValueError):
-        bounded_decode(code, Word(0, 63))
+        assert len(list_decode(code, v, t).entries) <= 1

@@ -7,7 +7,6 @@ import pytest
 
 from bchcover import linear_code
 from bchcover.bch import build_bch
-from bchcover.gf2m import BinaryPolynomial
 from bchcover.linear_code import (
     LinearCode,
     Word,
@@ -18,9 +17,9 @@ from bchcover.linear_code import (
 from bchcover.manifest import TABLE1
 
 import conftest
-from conftest import bch_code, codeword_table, min_nonzero_weight, random_code
+from conftest import bch_code, codeword_table, min_nonzero_weight, random_code, ref_mod
 
-HAMMING_G = BinaryPolynomial(0b1011)  # x^3 + x + 1
+HAMMING_G = 0b1011  # x^3 + x + 1
 
 
 def hamming74() -> LinearCode:
@@ -78,21 +77,38 @@ def test_hamming_from_generator_poly():
 
 
 def test_trivial_whole_space_code():
-    code = from_generator_poly(BinaryPolynomial(1), 5)
+    code = from_generator_poly(1, 5)
     assert (code.n, code.k) == (5, 5)
     assert code.min_distance() == (1, "exact")
 
 
 def test_generator_must_divide_x_n_plus_1():
-    with pytest.raises(ValueError):
-        from_generator_poly(BinaryPolynomial(0b101), 7)  # x^2 + 1 = (x+1)^2
+    with pytest.raises(ValueError, match=r"g = 0b101 does not divide x\^7 \+ 1"):
+        from_generator_poly(0b101, 7)  # x^2 + 1 = (x+1)^2
 
 
 def test_degenerate_generator_rejected():
-    with pytest.raises(ValueError):
-        from_generator_poly(BinaryPolynomial.from_exponents(7, 0), 7)
-    with pytest.raises(ValueError):
-        from_generator_poly(BinaryPolynomial(0), 7)
+    with pytest.raises(ValueError, match="deg g = 7 leaves k = 0"):
+        from_generator_poly((1 << 7) | 1, 7)  # x^7 + 1 itself
+    for g in (0, -0b1011):
+        with pytest.raises(ValueError, match="positive bitmask"):
+            from_generator_poly(g, 7)
+
+
+def test_generator_divisibility_matches_reference_remainder():
+    # every g of degree <= n up to n = 12: accepted exactly when an
+    # independent remainder says g | x^n + 1 and deg g < n
+    for n in range(1, 13):
+        for g in range(1, 2 << n):
+            deg = g.bit_length() - 1
+            if ref_mod((1 << n) | 1, g):
+                with pytest.raises(ValueError, match="does not divide"):
+                    from_generator_poly(g, n)
+            elif deg < n:
+                assert from_generator_poly(g, n).k == n - deg
+            else:
+                with pytest.raises(ValueError, match="degenerate"):
+                    from_generator_poly(g, n)
 
 
 def test_dependent_rows_rejected():

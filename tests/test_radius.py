@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from bchcover.bch import build_bch
 from bchcover.bounds import classify
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
-from bchcover.gf2m import BinaryPolynomial
 from bchcover import radius
 from bchcover.manifest import TABLE1
 from bchcover.radius import StratumEvent, WeightCapExceeded, covering_radius
@@ -44,7 +44,7 @@ def test_engine_matches_oracle_on_random_codes():
 
 
 def test_oracle_trivial_codes():
-    whole = from_generator_poly(BinaryPolynomial(1), 5)
+    whole = from_generator_poly(1, 5)
     assert covering_radius_oracle(whole) == 0
     assert covering_radius(whole).covering_radius == 0
     repetition = LinearCode([0b111], 3)
@@ -190,7 +190,7 @@ def _leader_cases():
     """
     rng = random.Random(7)
     cases = [
-        ("whole5-5", from_generator_poly(BinaryPolynomial(1), 5)),
+        ("whole5-5", from_generator_poly(1, 5)),
         ("bch7-4", build_bch(7, 3)[0]),
         ("bch7-1", build_bch(7, 7)[0]),
         ("bch15-7", build_bch(15, 5)[0]),
@@ -307,7 +307,7 @@ def test_swap_chunks_match_brute_force(monkeypatch, code, block):
     # chunk loop, remainders included. Dense blocks of 4 words cut these
     # codes into 32 or 64 blocks, so the translates flip the block index as
     # well as the words inside a block; blocks of 64 words make 2 or 4, fewer
-    # than 5 workers, which then get smaller blocks; 3 workers divide no
+    # than 5 jobs, which then run one worker per block; 3 workers divide no
     # block count.
     monkeypatch.setattr(radius, "_SWAP_CHUNK", 24)
     if block is not None:
@@ -459,6 +459,23 @@ def test_determinism_across_jobs():
         code, _ = build_bch(31, 11)
         results.append(covering_radius(code, jobs=jobs))
     assert results[0] == results[1]
+
+
+def test_no_pool_below_two_dense_blocks(monkeypatch):
+    # [31,11] has 2^14 words, one dense block: jobs 4 runs on the calling
+    # thread. [31,6] has 2^19 words, 8 blocks: jobs 3 gets 3 workers.
+    pools = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(radius, "ThreadPoolExecutor", SpyPool)
+    assert covering_radius(bch_code(31, 11), jobs=4) == radius_result(31, 11)
+    assert pools == []
+    assert covering_radius(bch_code(31, 15), jobs=3) == radius_result(31, 15)
+    assert pools == [3]
 
 
 def test_checkpoint_resume(tmp_path):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from bchcover.gf2m import MAX_DEGREE, MIN_DEGREE, PRIMITIVE_POLYS, make_field
+from bchcover.linear_code import from_generator_poly
 
 from conftest import ref_mod
 
@@ -20,6 +22,16 @@ def ref_mul(a: int, b: int) -> int:
         b >>= 1
         a <<= 1
     return r
+
+
+def ref_divmod(a: int, b: int) -> tuple[int, int]:
+    """Long division in GF(2)[x]: (q, r) with a = q * b + r and deg r < deg b."""
+    q, db = 0, b.bit_length()
+    while a.bit_length() >= db:
+        shift = a.bit_length() - db
+        q ^= 1 << shift
+        a ^= b << shift
+    return q, a
 
 
 def ref_mulmod(a: int, b: int, mod: int) -> int:
@@ -179,3 +191,38 @@ def test_poly_eval_root_of_modulus():
     assert ctx.eval_poly(0b11, 1) == 0      # x + 1 at 1
     assert ctx.eval_poly(0b1, 0) == 1       # constant 1
     assert ctx.eval_poly(0, ctx.alpha_power(3)) == 0  # the zero polynomial
+
+
+# ---------------------------------------------------------------------------
+# division in GF(2)[x]: the remainder of x^n + 1 mod g in from_generator_poly
+# ---------------------------------------------------------------------------
+
+def test_division_by_zero_rejected():
+    with pytest.raises(ValueError, match="positive bitmask"):
+        from_generator_poly(0, 7)
+
+
+def test_poly_self_mod_is_zero():
+    # x^n + 1 mod itself is 0, so it passes the divisibility check and is
+    # refused only for leaving k = 0
+    for n in range(1, 17):
+        with pytest.raises(ValueError, match=f"deg g = {n} leaves k = 0"):
+            from_generator_poly((1 << n) | 1, n)
+
+
+@given(st.integers(1, 24), st.integers(1, 1 << 12))
+def test_poly_divmod_identity(n, g):
+    a = (1 << n) | 1
+    q, r = ref_divmod(a, g)
+    assert ref_mul(q, g) ^ r == a
+    assert r.bit_length() < g.bit_length()
+    deg = g.bit_length() - 1
+    if r:
+        with pytest.raises(ValueError, match=f"g = {g:#b} does not divide x\\^{n} \\+ 1"):
+            from_generator_poly(g, n)
+    elif deg < n:
+        code = from_generator_poly(g, n)
+        assert code.k == n - deg and code.generator_rows[0] == g
+    else:
+        with pytest.raises(ValueError, match="degenerate"):
+            from_generator_poly(g, n)

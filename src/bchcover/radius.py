@@ -6,8 +6,8 @@ syndromes one weight stratum at a time, as one bitset over the 2^(n-k)
 syndromes stored in uint64 words (syndrome s is bit s % 64 of word
 s // 64): ``reached_w`` holds every syndrome of leader weight <= w.
 ``LinearCode`` puts the n-k unit columns 1 << j at its non-pivot
-coordinates; call the other columns general. For a set J of general
-columns, the seeds, let P_r hold the XOR of each r of them. Then
+coordinates; call the other columns general. For any set J of columns, the
+seeds, let P_r hold the XOR of each r of them. Then
 
     reached_{w+1} = reached_w | P_{w+1} | OR over columns c outside J of translate(reached_w, c),
 
@@ -17,11 +17,11 @@ XOR to s. If one of them, c, lies outside J, the other w XOR to s ^ c, so
 s ^ c is in reached_w and s in its translate by c; otherwise the pattern
 lies in J and s is in P_{w+1}. So the columns of J are never translated:
 each stratum sets its C(|J|, w+1) seed syndromes with one scatter. J holds
-the general columns whose translates cost most, at most
-j_max = max(n-k-8, 0) of them, which keeps the seed table of 2^|J| uint32
-syndromes at 1/8 of the bitset (``_column_walk``). [31,6] seeds all 6
-general columns and translates its 25 unit columns; [63,39] seeds 16 of its
-39.
+the columns, unit or general, whose translates cost most, j_max =
+max(n-k-8, 0) of them, which keeps the seed table of 2^|J| uint32 syndromes
+at 1/8 of the bitset (``_column_walk``). [31,6] seeds its 6 general columns
+and the unit columns on syndrome bits 0-10, so each of its 14 translates
+only permutes whole words; [63,39] seeds 15 general columns and one unit.
 
 In a translate, the high bits ``c >> 6`` permute whole words: viewing the
 words as a ``(2,) * (n-k-6)`` array, they flip one axis each. The low bits
@@ -41,14 +41,16 @@ A stratum is computed on one of three paths, chosen from what is known
 before it. The dense path makes a few passes over all 2^(n-k) bits per
 translated column, which is what makes the big searches ([31,6]: 2^25
 syndromes, [63,36]: 2^27) run in seconds once ``reached`` has spread. While
-at most a quarter of its words are nonzero, the sparse path gathers just
-those words, permutes their bits, and ORs each column's translate into the
-accumulator at word i ^ (c >> 6), so the thin strata near weight 0 cost in
-proportion to their size. Near the end of the search, when at most half as
-many syndromes are unreached as the last stratum holds, the pull path works
-the other way round: each unreached syndrome is tested against the columns'
-translates of ``reached`` and leaves at its first hit, so the last strata
-cost in proportion to what is left (``_translate_or`` derives both cuts).
+few of its words are nonzero, the sparse path gathers just those words,
+permutes their bits, and ORs each column's translate into the accumulator
+at word i ^ (c >> 6), so the thin strata near weight 0 cost in proportion
+to their size; the cut weighs the walk's cost per word on each path, with
+the dense cost split between its threads (``_sparse_words``). Near the end
+of the search, when at most half as many syndromes are unreached as the
+last stratum holds, the pull path works the other way round: each unreached
+syndrome is tested against the columns' translates of ``reached`` and
+leaves at its first hit, so the last strata cost in proportion to what is
+left (``_translate_or`` derives this cut).
 All three paths give the same translates, into one accumulator. The seeds
 are ORed in after the path returns, because the pull clears every unreached
 syndrome that no translate hits, seeds included. On dense strata the
@@ -230,47 +232,47 @@ def _swap_bits(x: np.ndarray, d: int, tmp: np.ndarray) -> None:
             part |= t
 
 
+# A column costs its strided OR plus the moves from the previous column's low
+# bits, in half passes over the words. Timed per call at 2^18 and 2^19 words
+# (2-core Xeon, numpy 2.4): an OR whose lowest flipped word-index bit is 0, 1,
+# 2 or 3 runs over reversed blocks of 1 to 8 words and costs about 5, 7, 4 or 2
+# passes, otherwise 1 pass; a chunked mask swap costs 2.2-2.3 passes, a uint64
+# byteswap 0.9 and a uint32 byteswap 1.4.
+_OR_COST = (10, 14, 8, 4)
+_BYTESWAP_COST = {None: 0, np.uint64: 2, np.uint32: 3}
+
+
+def _step_cost(low: int, c: int) -> tuple[int, int]:
+    """(strided OR, in-word moves): the cost per word of translating column c after a column with low bits ``low``."""
+    view, masks = _MOVES[(c ^ low) & 63]
+    high = c >> 6
+    lowest = (high & -high).bit_length() - 1  # -1 if the OR flips no words
+    return _OR_COST[lowest] if 0 <= lowest < 4 else 2, _BYTESWAP_COST[view] + 5 * len(masks)
+
+
 def _column_walk(code: LinearCode) -> tuple[list[tuple[int, int]], list[int]]:
     """(steps, seeds): the translated columns as (low bits, high bits) in walk order, and J.
 
     The walk sorts the columns by the Gray rank of their low bits, ranked
     with bits 0-2 on top: only mask swaps move those, and this order changes
-    them least often. J (``seeds``) takes the costliest general columns out
-    of the walk, at most j_max = max(n-k-8, 0) of them; the rest of the
-    columns, every unit column among them, are translated.
+    them least often. J (``seeds``) takes the costliest columns, unit or
+    general, out of the walk, j_max = max(n-k-8, 0) of them; the rest are
+    translated.
     """
     cols = sorted(code.syndrome_columns, key=lambda c: (_gray_rank((c & 7) << 3 | (c >> 3) & 7), c))
     nk = code.n - code.k
 
-    # A column costs its strided OR plus the moves from the previous column's
-    # low bits, in half passes over the words. Timed per call at 2^18 and 2^19
-    # words (2-core Xeon, numpy 2.4): an OR whose lowest flipped word-index
-    # bit is 0, 1, 2 or 3 runs over reversed blocks of 1 to 8 words and costs
-    # about 5, 7, 4 or 2 passes, otherwise 1 pass; a chunked mask swap costs
-    # 2.2-2.3 passes, a uint64 byteswap 0.9 and a uint32 byteswap 1.4.
-    or_cost = (10, 14, 8, 4)
-    byteswap_cost = {None: 0, np.uint64: 2, np.uint32: 3}
-
+    # J: columns leave the walk one at a time, each time the one whose removal
+    # saves the most: its own step, and the next column's step from it rather
+    # than from its predecessor. j_max = n-k-8 bounds the seed table at
+    # 2^(n-k-8) uint32 syndromes, 1/8 of the 2^(n-k-3)-byte bitset
+    # ``reached``. On the perfbench radius-deep workload ([63,39] at jobs 2,
+    # capped at 5 and resumed; 2-core Xeon) peak_rss_mb read 46.9 without
+    # seeds, 47.1 with j_max = n-k-8 (16 seeds, 256 KiB), 48.5-48.6 with n-k-6
+    # (1 MiB) and 53.9-54.3 with n-k-4 (4 MiB, +15%), while wall_s stayed
+    # within 0.18-0.20 s for all three.
     def cost(low: int, c: int) -> int:
-        view, masks = _MOVES[(c ^ low) & 63]
-        high = c >> 6
-        lowest = (high & -high).bit_length() - 1  # -1 if the OR flips no words
-        return (or_cost[lowest] if 0 <= lowest < 4 else 2) + byteswap_cost[view] + 5 * len(masks)
-
-    # J: the general columns, all but the first copy of each unit column,
-    # leave the walk one at a time, each time the one whose removal saves the
-    # most: its own step, and the next column's step from it rather than from
-    # its predecessor. j_max = n-k-8 bounds the seed table at 2^(n-k-8)
-    # uint32 syndromes, 1/8 of the 2^(n-k-3)-byte bitset ``reached``. On the
-    # perfbench radius-deep workload ([63,39] at jobs 2, capped at 5 and
-    # resumed; 2-core Xeon) peak_rss_mb read 46.9 without seeds, 47.1 with
-    # j_max = n-k-8 (16 seeds, 256 KiB), 48.5-48.6 with n-k-6 (1 MiB) and
-    # 53.9-54.3 with n-k-4 (4 MiB, +15%), while wall_s stayed within
-    # 0.18-0.20 s for all three.
-    units, general = {1 << j for j in range(nk)}, []
-    for c in cols:
-        general.append(c not in units)
-        units.discard(c)
+        return sum(_step_cost(low, c))
 
     def saving(i: int) -> int:
         prev = cols[i - 1] if i else 0
@@ -279,11 +281,7 @@ def _column_walk(code: LinearCode) -> tuple[list[tuple[int, int]], list[int]]:
             saved += cost(cols[i], cols[i + 1]) - cost(prev, cols[i + 1])
         return saved
 
-    seeds = []
-    for _ in range(min(sum(general), max(nk - 8, 0))):
-        i = max((i for i, g in enumerate(general) if g), key=saving)
-        seeds.append(cols.pop(i))
-        del general[i]
+    seeds = [cols.pop(max(range(len(cols)), key=saving)) for _ in range(max(nk - 8, 0))]
     return [(c & 63, c >> 6) for c in cols], seeds
 
 
@@ -427,8 +425,34 @@ def _pull(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, tm
                 waiting[j + 1].append((idx, pend))
 
 
+def _sparse_words(steps: list[tuple[int, int]], words: int, workers: int) -> int:
+    """The most nonzero words of ``reached`` at which a stratum is grown on the sparse path.
+
+    Both paths pay the walk's in-word moves per word they translate. The
+    dense path adds its strided ORs on every word, split between the
+    ``workers`` threads; the sparse path adds a gather, an OR and a scatter
+    per column on each nonzero word, 24 half passes of ``_step_cost``.
+    """
+    # Sparse vs dense on the same strata (2-core Xeon, numpy 2.4, medians of
+    # 2-3 calls): [31,6] at jobs 1, whose walk is 14 ORs and no moves, w5
+    # (2.9% of the words nonzero) 5.1-5.4 vs 7.7 ms, w6 (13%) 15-16 vs 6-7 ms
+    # and w7 (43%) 37 vs 7.6 ms; [63,39] w4 (11%) 18-23 vs 50-56 ms at jobs 1
+    # and 21 vs 30 ms at jobs 2; [63,36] w5 (19%) 284-319 vs 235-277 ms at
+    # jobs 1 and 297-351 vs 200-218 ms at jobs 2. With the half pass set by
+    # the dense times, the sparse times fit 22-23 half passes per column and
+    # nonzero word on [31,6] w7, 26 on [63,39] w4 and 45 on [63,36] w5, whose
+    # gathers and scatters span a 16 MiB accumulator. At 24 the cut falls at
+    # 8% of the words for [31,6] at jobs 1, 30% and 15% for [63,39] at jobs 1
+    # and 2, and 29% and 14% for [63,36]: every stratum timed takes the faster
+    # path but [63,36] w5 at jobs 1, which stays sparse as before.
+    costs = [_step_cost(low, d | high << 6) for low, (d, high) in zip([0] + [d for d, _ in steps], steps)]
+    ors, moves = map(sum, zip(*costs))
+    return words * (ors + moves) // (workers * (moves + 24 * len(steps)))
+
+
 def _translate_or(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, last_count: int, unreached: int,
-                  block: int, work: list[tuple[range, np.ndarray]], pool: ThreadPoolExecutor | None) -> str:
+                  sparse_words: int, block: int, work: list[tuple[range, np.ndarray]],
+                  pool: ThreadPoolExecutor | None) -> str:
     """Fill acc so that its bits outside ``reached`` are the next stratum, less its seeds; returns the path.
 
     The path is "pull", "sparse" or "dense". The sparse and dense paths OR
@@ -454,23 +478,12 @@ def _translate_or(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.nda
     #   [63,39] w=6 (1.87) 53-61 vs 114-117 ms.
     # So the crossover lies between U/F 0.37 and 1.30 at n = 63 and below
     # 0.61 at n = 31; every pulled stratum ran at least 3.5x faster than
-    # dense, and every kept one faster dense than pulled.
+    # dense, and every kept one faster dense than pulled. Those walks had
+    # in-word moves; [31,6] w=11 on its move-free walk took 7.3 dense, 9.7 pulled.
     if 2 * unreached <= last_count:
         _pull(steps, reached, acc, work[0][1])
         return "pull"
-    # Both paths do the same swaps per word translated. On top of that the
-    # sparse path does a gather, an OR and a scatter per nonzero word and
-    # column, the dense path one strided OR per word and column. Timed as
-    # above, sparse vs dense below the cut: [31,6] w=6 (13% of the words
-    # nonzero) 26-27 vs 37-41 ms, [63,39] w=4 (11%) 21-23 vs 51-57 ms,
-    # [63,36] w=5 (19%) 374-410 vs 448-480 ms. So the sparse path costs
-    # 3.6-5.2x the dense one per word it touches, and the two break even
-    # between 19% and 28% of the words nonzero. The cut at a quarter falls
-    # in that band, but the dense strata above it start at 43% ([31,6] w=7;
-    # [63,39] w=5 81%, [63,36] w=6 92%), so it picks the faster path on
-    # every stratum timed. Sparse strata walk every column once on the
-    # calling thread: the pool did not speed them up.
-    if 4 * np.count_nonzero(reached) <= len(reached):
+    if np.count_nonzero(reached) <= sparse_words:
         _translate_or_sparse(steps, reached, np.flatnonzero(reached), acc, work[0][1])
         return "sparse"
     list((map if pool is None else pool.map)(lambda wt: _dense_blocks(steps, reached, acc, block, *wt), work))
@@ -607,6 +620,7 @@ def covering_radius(
     workers = min(jobs, blocks)
     work = [(range(blocks * j // workers, blocks * (j + 1) // workers), np.empty(min(words, _SWAP_CHUNK), np.uint64))
             for j in range(workers)]
+    sparse_words = _sparse_words(steps, words, workers)
     acc = np.empty(words, dtype=np.uint64)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -614,7 +628,7 @@ def covering_radius(
             if w >= weight_cap:
                 raise WeightCapExceeded(weight_cap, tuple(counts), total)
             start = perf_counter()
-            path = _translate_or(steps, reached, acc, counts[-1], total - seen, block, work, pool)
+            path = _translate_or(steps, reached, acc, counts[-1], total - seen, sparse_words, block, work, pool)
             if w + 1 < len(seeds):  # after the pull has cleared its misses, which would clear a seed too
                 _set_unreached_bits(acc, reached, seeds[w + 1])
             acc |= reached  # the pull returns the stratum alone, and at w = 0 no translate holds 0

@@ -184,9 +184,9 @@ def _duplicate_column_code() -> LinearCode:
 def _leader_cases():
     """Codes with n - k in {0, 1, 3, 5, 6, 7, 8, 10, 12}: both sides of the 64-bit word.
 
-    The codes with n - k >= 9 seed some general columns (J) instead of
-    translating them; random20-8 and duplicates20-8 seed 4 of their 8, and
-    have dense strata.
+    The codes with n - k >= 9 seed n-k-8 columns (J) instead of translating
+    them; random20-8 and duplicates20-8 seed 4 of their 20, and have dense
+    strata.
     """
     rng = random.Random(7)
     cases = [
@@ -246,6 +246,8 @@ def test_sparse_and_dense_strata_match_brute_force(code):
     leaders = _brute_force_leaders(code)
     counts, deepest = _brute_force_leader_profile(code)
     assert any(c >> 6 for c in code.syndrome_columns)  # sparse strata move whole words
+    # one dense block, so one worker at any jobs
+    sparse_words = radius._sparse_words(radius._column_walk(code)[0], words, 1)
     for jobs in (1, 3):
         events = []
         result = covering_radius(code, jobs=jobs, on_event=events.append)
@@ -256,14 +258,14 @@ def test_sparse_and_dense_strata_match_brute_force(code):
         for e in events:
             # the cuts: stratum w is pulled iff at most half as many syndromes are unreached
             # as stratum w-1 holds, else grown sparsely iff the syndromes of leader weight
-            # <= w-1 fill at most a quarter of the words
+            # <= w-1 fill at most the walk's sparse_words words
             last = int(np.count_nonzero(leaders == e.weight - 1))
             unreached = int(np.count_nonzero(leaders >= e.weight))
             occupied = len(np.unique(np.flatnonzero(leaders <= e.weight - 1) >> 6))
             if 2 * unreached <= last:
                 assert e.path == "pull"
             else:
-                assert e.path == ("sparse" if 4 * occupied <= words else "dense")
+                assert e.path == ("sparse" if occupied <= sparse_words else "dense")
 
 
 def _pull_case() -> LinearCode:
@@ -373,36 +375,83 @@ def test_swap_bits_on_an_offset_slice(monkeypatch):
 
 
 @pytest.mark.parametrize("code,seeded", [
-    pytest.param(bch_code(31, 15), 6, id="31-15"),
+    pytest.param(bch_code(31, 15), 17, id="31-15"),
     pytest.param(bch_code(63, 9), 16, id="63-9"),
     pytest.param(_duplicate_column_code(), 4, id="duplicates20-8"),
 ])
 def test_column_walk_covers_every_column_once(code, seeded):
-    # J (the seeds) holds min(#general, n-k-8) columns; the walk translates
-    # the rest, every unit column among them
-    nk = code.n - code.k
+    # J (the seeds) holds n-k-8 columns, unit or general; the walk translates the rest
     steps, seeds = radius._column_walk(code)
     walked = [d | high << 6 for d, high in steps]
     assert sorted(walked + seeds) == sorted(code.syndrome_columns)
-    assert {1 << j for j in range(nk)} <= set(walked)
-    assert len(seeds) == min(code.k, nk - 8) == seeded
+    assert len(seeds) == max(code.n - code.k - 8, 0) == seeded
+    if code.n == 31:
+        # [31,6] seeds its 6 general columns and the unit columns on bits 0-10, so
+        # every one of its 14 walked columns only flips words
+        assert len(steps) == 14 and all(d == 0 for d, _ in steps)
 
 
-def test_seed_in_a_pulled_stratum():
+def _seed_splits(code: LinearCode) -> list[list[int]]:
+    """Seed sets J of max(n-k-8, 0) columns: none, the first unit columns, and a
+    seeded random mix of unit, general and, where the code repeats one, duplicate columns."""
+    nk = code.n - code.k
+    j_max, cols, rng = max(nk - 8, 0), code.syndrome_columns, random.Random(2)
+    units = [1 << j for j in range(nk)]
+    general = [c for c in cols if c not in units]
+    copies = [c for c in general if general.count(c) > 1][:2]
+    mix = [rng.choice(units), rng.choice([c for c in general if c not in copies])] + copies
+    rest = list(cols)
+    for c in mix:
+        rest.remove(c)
+    return [[], units[:j_max], mix + rng.sample(rest, j_max - len(mix))]
+
+
+@pytest.mark.parametrize("code", [p for p in _leader_cases() if p.id in ("random20-8", "duplicates20-8", "bch15-5")]
+                         + [pytest.param(_pull_case(), id="pull20-6")])
+def test_any_seed_set_gives_the_same_strata(monkeypatch, tmp_path, code):
+    # reached_{w+1} = reached_w | P_{w+1} | the translates by the columns outside J
+    # holds for every J, so the walk and J may split the columns any way at all
+    counts, deepest = _brute_force_leader_profile(code)
+    R = len(counts) - 1
+    expected = radius.RadiusResult(R, counts, Word(deepest, code.n - code.k))
+    splits = _seed_splits(code)
+    # duplicates20-8 seeds two copies of one column
+    assert (len(set(splits[2])) < len(splits[2])) == (len(set(code.syndrome_columns)) < code.n)
+    for i, seeds in enumerate(splits):
+        walked = list(code.syndrome_columns)
+        for c in seeds:
+            walked.remove(c)
+        monkeypatch.setattr(radius, "_column_walk", lambda _: ([(c & 63, c >> 6) for c in walked], seeds))
+        for jobs in (1, 3):
+            assert covering_radius(code, jobs=jobs) == expected
+        for cap in range(1, R):
+            path = str(tmp_path / f"split{i}-cap{cap}.ckpt")
+            with pytest.raises(WeightCapExceeded) as info:
+                covering_radius(code, weight_cap=cap, jobs=3, checkpoint_path=path)
+            assert info.value.counts_so_far == counts[: cap + 1]
+            assert covering_radius(code, checkpoint_path=path) == expected
+
+
+def test_seed_in_a_pulled_stratum(monkeypatch):
     # H = [A | I_16] where general column i is bits 2i and 2i+1, so the leader
     # weight of a syndrome is its number of nonzero bit pairs: C(8, w) 3^w
     # syndromes of weight w, and the deep holes have every pair nonzero, the
-    # smallest one pair 01 each. All 8 general columns are seeds. Stratum 8 is
-    # pulled (2 * 6561 unreached <= 17496 of weight 7), and its syndrome 0xFFFF
-    # has one leader, the XOR of all 8 seeds: every unit translate of it has
-    # weight 8, so the pull misses it and only its seed sets it.
+    # smallest one pair 01 each. Stratum 8 is pulled (2 * 6561 unreached <=
+    # 17496 of weight 7). The engine's own J mixes unit and general columns;
+    # with J the 8 general columns instead, syndrome 0xFFFF has one leader,
+    # the XOR of all 8 seeds: every unit translate of it has weight 8, so the
+    # pull misses it and only its seed sets it.
     code = LinearCode([1 << i | 3 << (8 + 2 * i) for i in range(8)], 24)
-    for jobs in (1, 3):
-        events = []
-        result = covering_radius(code, jobs=jobs, on_event=events.append)
-        assert result == radius.RadiusResult(8, tuple(math.comb(8, w) * 3**w for w in range(9)), Word(0x5555, 16))
-        assert events[-1].path == "pull"
     assert len(radius._column_walk(code)[1]) == 8
+    units, general = [1 << j for j in range(16)], [3 << 2 * i for i in range(8)]
+    assert sorted(units + general) == sorted(code.syndrome_columns)
+    for walk in (radius._column_walk, lambda _: ([(c & 63, c >> 6) for c in units], general)):
+        monkeypatch.setattr(radius, "_column_walk", walk)
+        for jobs in (1, 3):
+            events = []
+            result = covering_radius(code, jobs=jobs, on_event=events.append)
+            assert result == radius.RadiusResult(8, tuple(math.comb(8, w) * 3**w for w in range(9)), Word(0x5555, 16))
+            assert events[-1].path == "pull"
 
 
 def test_radius_at_least_packing_radius():

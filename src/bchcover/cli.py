@@ -66,9 +66,11 @@ def cmd_johnson(args: argparse.Namespace) -> int:
         if args.steps < 2:
             raise ValueError(f"need at least 2 steps, got {args.steps}")
         print("d_over_n,tau_general_over_n,tau_binary_over_n")
+        # n // 2 samples already give every d in 1..n/2 in order; more only repeat them
+        steps = min(args.steps, max(args.n // 2, 2))
         seen = set()
-        for i in range(args.steps):
-            d = max(1, round(1 + (args.n // 2 - 1) * i / (args.steps - 1)))
+        for i in range(steps):
+            d = max(1, round(1 + (args.n // 2 - 1) * i / (steps - 1)))
             if d in seen:
                 continue
             seen.add(d)

@@ -29,10 +29,10 @@ words as a ``(2,) * (n-k-6)`` array, they flip one axis each. The low bits
 Bits 3-5 of p name a byte of the word, so a byteswap of the words or of
 their 32-bit halves flips p's bits 3-5 or 3-4 at about the cost of one pass;
 every other bit of p is flipped by a delta swap with a fixed mask (five
-passes). A permutation is applied in chunks of ``_SWAP_CHUNK`` words that
-stay in L2 across those passes. Consecutive columns differ by the
-permutation from one's low bits to the next's, and the columns are walked in
-the Gray-code order of their low bits with bits 0-2 ranked on top, so the
+passes). A permutation is applied in chunks of ``_CHUNK`` words that stay
+in L2 across those passes. Consecutive columns differ by the permutation
+from one's low bits to the next's, and the columns are walked in the
+Gray-code order of their low bits with bits 0-2 ranked on top, so the
 mask-only bits 0-2 change least often. For n - k < 6 the whole space is the
 low 2^(n-k) bits of one word, which stay closed under XOR by any column. The
 covering radius is the last non-empty stratum.
@@ -50,12 +50,12 @@ of the search, when at most half as many syndromes are unreached as the
 last stratum holds, the pull path works the other way round: each unreached
 syndrome is tested against the columns' translates of ``reached`` and
 leaves at its first hit, so the last strata cost in proportion to what is
-left (``_translate_or`` derives this cut).
+left (``covering_radius`` tests both cuts, and derives this one).
 All three paths give the same translates, into one accumulator. The seeds
 are ORed in after the path returns, because the pull clears every unreached
 syndrome that no translate hits, seeds included. On dense strata the
 workers split the words, not the columns: the accumulator is cut into
-blocks of ``_DENSE_BLOCK`` words (one block if it holds fewer), each of
+blocks of ``_CHUNK`` words (one block if it holds fewer), each of
 min(jobs, blocks) threads owns a contiguous run of them, and it walks every
 column over each of its blocks, reading the untouched ``reached``
 (``_dense_blocks``). With one block there is no pool. Sparse and pull
@@ -109,24 +109,19 @@ _SWAP_MASKS = tuple(
         0x00000000FFFFFFFF,
     )
 )
-# Words per chunk of _swap_bits. A mask swap makes five passes over its words,
-# so it pays to keep them in cache: a chunk of 2^15 words (256 KiB) and its tmp
-# use a quarter of a 2 MiB L2. One mask swap over 2^19 words took 1.9 ms
-# unchunked, 1.45 ms in chunks of 2^13 or 2^17 words and 1.1 ms in chunks of
-# 2^14-2^16 (2-core Xeon, numpy 2.4; at 2^18 words 0.88 ms unchunked, 0.53 ms
-# at 2^15), and the dense strata of [31,6] ran fastest at 2^15. Smaller chunks
-# pay numpy's per-call overhead, larger ones miss L2.
-_SWAP_CHUNK = 1 << 15
-# Words per block of the dense path. A worker walks every column over one
-# block of the accumulator before the next, so the block stays in L2 across
-# its columns. Dense strata of one search summed, medians of 8 searches at
-# blocks of 2^14, 2^15, 2^16 and 2^17 words (2-core Xeon, numpy 2.4): [31,6]
-# at jobs 1 168, 155, 152 and 157 ms; [63,39] at jobs 2 93, 75, 70 and 67 ms;
-# [63,36] at jobs 2 (medians of 2) 605, 478, 438 and 439 ms. Smaller blocks
-# pay numpy's per-call overhead once more per column, larger ones miss L2.
-_DENSE_BLOCK = 1 << 16
-_PULL_CHUNK = 1 << 14  # words per chunk of the pull's pending set
-_PULL_CARRY = 256      # a chunk's pending words that wait for the merged columns
+# Words per chunk: of a _swap_bits pass, of a dense block (a power of two), of
+# the pull's pending set and of a _lowest_zero_bit read. A chunk (512 KiB) and
+# its scratch buffer stay in a 2 MiB L2 across the five passes of a mask swap,
+# and a dense block across all of its columns. Smaller chunks pay numpy's
+# per-call overhead more often, larger ones miss L2. Timed on a 2-core Xeon
+# with numpy 2.4: one mask swap over 2^19 words took 1.9 ms unchunked, 1.45 ms
+# in chunks of 2^13 or 2^17 words and 1.1 ms in chunks of 2^14-2^16. The dense
+# strata of one search, summed (medians of 8 searches), at blocks of 2^14,
+# 2^15, 2^16 and 2^17 words: [31,6] at jobs 1 168, 155, 152 and 157 ms;
+# [63,39] at jobs 2 93, 75, 70 and 67 ms; [63,36] at jobs 2 (medians of 2)
+# 605, 478, 438 and 439 ms.
+_CHUNK = 1 << 16
+_PULL_CARRY = 256  # a chunk's pending words that wait for the merged columns
 
 
 @dataclass(frozen=True)
@@ -213,13 +208,13 @@ _MOVES = tuple(_moves(d) for d in range(64))
 def _swap_bits(x: np.ndarray, d: int, tmp: np.ndarray) -> None:
     """x <- x with bit p of every word moved to bit p ^ d (0 <= d < 64), in place.
 
-    ``tmp`` must hold min(len(x), _SWAP_CHUNK) words. Every move of d is
-    applied to one chunk of x before the next chunk, so the chunk stays in
-    cache across its passes.
+    ``tmp`` must hold min(len(x), _CHUNK) words. Every move of d is applied
+    to one chunk of x before the next chunk, so the chunk stays in cache
+    across its passes.
     """
     view, masks = _MOVES[d]
-    for start in range(0, len(x), _SWAP_CHUNK):
-        part = x[start: start + _SWAP_CHUNK]
+    for start in range(0, len(x), _CHUNK):
+        part = x[start: start + _CHUNK]
         if view is not None:
             part.view(view).byteswap(inplace=True)
         t = tmp[: len(part)]
@@ -348,15 +343,15 @@ def _dense_blocks(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.nda
         _swap_bits(out, low, tmp)
 
 
-def _translate_or_sparse(steps: list[tuple[int, int]], bits: np.ndarray, nz: np.ndarray, acc: np.ndarray,
-                         tmp: np.ndarray) -> None:
-    """acc = OR over the walked columns c of translate(bits, c), for ``bits`` whose nonzero words are at ``nz``.
+def _translate_or_sparse(steps: list[tuple[int, int]], bits: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """acc = OR over the walked columns c of translate(bits, c), touching only the nonzero words of ``bits``.
 
     Only those words are swapped, and word i of ``bits`` lands in word
     i ^ (c >> 6) of the accumulator. For one column these targets are
     distinct, so a plain gather, OR and scatter is exact.
     """
     acc.fill(0)
+    nz = np.flatnonzero(bits)
     vals = bits[nz]
     target = np.empty_like(nz)
     gathered = np.empty_like(vals)
@@ -403,8 +398,8 @@ def _pull(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, tm
     # column the waiting words of all chunks are merged, so a few misses
     # per chunk do not cost every chunk a pass over every column.
     waiting: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in steps]
-    for start in range(0, len(acc), _PULL_CHUNK):
-        part = acc[start: start + _PULL_CHUNK]
+    for start in range(0, len(acc), _CHUNK):
+        part = acc[start: start + _CHUNK]
         idx = np.flatnonzero(part)
         pend = part[idx]
         idx += start
@@ -450,50 +445,10 @@ def _sparse_words(steps: list[tuple[int, int]], words: int, workers: int) -> int
     return words * (ors + moves) // (workers * (moves + 24 * len(steps)))
 
 
-def _translate_or(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, last_count: int, unreached: int,
-                  sparse_words: int, block: int, work: list[tuple[range, np.ndarray]],
-                  pool: ThreadPoolExecutor | None) -> str:
-    """Fill acc so that its bits outside ``reached`` are the next stratum, less its seeds; returns the path.
-
-    The path is "pull", "sparse" or "dense". The sparse and dense paths OR
-    the translates of ``reached`` by every walked column; the pull tests
-    only the ``unreached`` syndromes. ``work`` pairs each worker's run of
-    dense blocks with its ``_swap_bits`` buffer; the sparse and pull paths
-    run on the calling thread with the first buffer.
-    """
-    # The pull costs a gather and a delta swap per pending word and column
-    # tried. A word that will be reached drops out after a few columns, but a
-    # word holding a syndrome of leader weight above the new stratum's tries
-    # every column, so the pull pays off only near the end of the search,
-    # where little is left and the last stratum is large. Both paths timed on
-    # the same strata with the walked columns alone (2-core Xeon, numpy 2.4,
-    # jobs 1, two runs of 3-5 calls each, dense vs pull, U unreached
-    # syndromes and F = last_count in the last stratum before stratum w):
-    #   pulled, 2U <= F: [63,45] w=5 (U/F 0.37) 1.6 vs 0.45 ms, [31,6] w=11
-    #   (0.052) 40 vs 11 ms, [63,39] w=7 (0.015) 53-56 vs 5.2-5.6 ms,
-    #   [63,36] w=8 (0.0043) 466-506 vs 28-34 ms, [63,36] w=9 (0.0006)
-    #   446-472 vs 14-15 ms;
-    #   kept, 2U > F: [31,11] w=7 (0.61) 0.9-1.0 vs 1.5-2.1 ms, [31,6] w=10
-    #   (0.63) 36-52 vs 94-121 ms, [63,36] w=7 (1.30) 455-460 vs 559-582 ms,
-    #   [63,39] w=6 (1.87) 53-61 vs 114-117 ms.
-    # So the crossover lies between U/F 0.37 and 1.30 at n = 63 and below
-    # 0.61 at n = 31; every pulled stratum ran at least 3.5x faster than
-    # dense, and every kept one faster dense than pulled. Those walks had
-    # in-word moves; [31,6] w=11 on its move-free walk took 7.3 dense, 9.7 pulled.
-    if 2 * unreached <= last_count:
-        _pull(steps, reached, acc, work[0][1])
-        return "pull"
-    if np.count_nonzero(reached) <= sparse_words:
-        _translate_or_sparse(steps, reached, np.flatnonzero(reached), acc, work[0][1])
-        return "sparse"
-    list((map if pool is None else pool.map)(lambda wt: _dense_blocks(steps, reached, acc, block, *wt), work))
-    return "dense"
-
-
 def _lowest_zero_bit(bits: np.ndarray) -> int:
     """Lowest clear bit of a bitset that has one, read a chunk at a time."""
-    for start in range(0, len(bits), _SWAP_CHUNK):
-        open_words = np.flatnonzero(~bits[start: start + _SWAP_CHUNK])
+    for start in range(0, len(bits), _CHUNK):
+        open_words = np.flatnonzero(~bits[start: start + _CHUNK])
         if len(open_words):
             i = start + int(open_words[0])
             free = ~int(bits[i])
@@ -580,9 +535,11 @@ def covering_radius(
     Stops with WeightCapExceeded if strata up to ``weight_cap`` do not cover
     all 2^(n-k) syndromes (the default cap n can never trigger), also when
     a resumed checkpoint is already past the cap; a negative cap is a
-    ValueError before any checkpoint is read. Up to ``jobs`` threads, at
-    most one per dense block of ``_DENSE_BLOCK`` words, split the words of
-    each dense stratum; the result does not depend on it.
+    ValueError before any checkpoint is read. Each stratum is pulled,
+    grown sparsely or grown densely, by the two cuts tested in its loop.
+    Up to ``jobs`` threads, at most one per dense block of ``_CHUNK``
+    words, split the words of each dense stratum; the result does not
+    depend on it. Sparse and pull strata run on the calling thread.
     ``on_event``, if given, receives a StratumEvent after each stratum this
     call computes. The code is left unchanged; callers keep the returned
     result.
@@ -615,11 +572,10 @@ def covering_radius(
     seeds = _seed_syndromes(seed_cols)
     # Each worker owns a contiguous run of at least one dense block, so
     # below two blocks the calling thread walks them with no pool.
-    block = min(_DENSE_BLOCK, words)
+    block = min(_CHUNK, words)
     blocks = words // block
     workers = min(jobs, blocks)
-    work = [(range(blocks * j // workers, blocks * (j + 1) // workers), np.empty(min(words, _SWAP_CHUNK), np.uint64))
-            for j in range(workers)]
+    tmps = [np.empty(block, np.uint64) for _ in range(workers)]  # worker 0's also serves the sparse and pull paths
     sparse_words = _sparse_words(steps, words, workers)
     acc = np.empty(words, dtype=np.uint64)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -628,7 +584,39 @@ def covering_radius(
             if w >= weight_cap:
                 raise WeightCapExceeded(weight_cap, tuple(counts), total)
             start = perf_counter()
-            path = _translate_or(steps, reached, acc, counts[-1], total - seen, sparse_words, block, work, pool)
+            # Each path fills acc so that its bits outside reached are the next
+            # stratum, less its seeds. The pull costs a gather and a delta swap
+            # per pending word and column tried. A word that will be reached
+            # drops out after a few columns, but a word holding a syndrome of
+            # leader weight above the new stratum's tries every column, so the
+            # pull pays off only near the end of the search, where little is
+            # left and the last stratum is large. Both paths timed on the same
+            # strata with the walked columns alone (2-core Xeon, numpy 2.4,
+            # jobs 1, two runs of 3-5 calls each, dense vs pull, U unreached
+            # syndromes and F = counts[-1] in the last stratum before stratum w):
+            #   pulled, 2U <= F: [63,45] w=5 (U/F 0.37) 1.6 vs 0.45 ms, [31,6]
+            #   w=11 (0.052) 40 vs 11 ms, [63,39] w=7 (0.015) 53-56 vs 5.2-5.6
+            #   ms, [63,36] w=8 (0.0043) 466-506 vs 28-34 ms, [63,36] w=9
+            #   (0.0006) 446-472 vs 14-15 ms;
+            #   kept, 2U > F: [31,11] w=7 (0.61) 0.9-1.0 vs 1.5-2.1 ms, [31,6]
+            #   w=10 (0.63) 36-52 vs 94-121 ms, [63,36] w=7 (1.30) 455-460 vs
+            #   559-582 ms, [63,39] w=6 (1.87) 53-61 vs 114-117 ms.
+            # So the crossover lies between U/F 0.37 and 1.30 at n = 63 and
+            # below 0.61 at n = 31; every pulled stratum ran at least 3.5x
+            # faster than dense, and every kept one faster dense than pulled.
+            # Those walks had in-word moves; [31,6] w=11 on its move-free walk
+            # took 7.3 dense, 9.7 pulled.
+            if 2 * (total - seen) <= counts[-1]:
+                path = "pull"
+                _pull(steps, reached, acc, tmps[0])
+            elif np.count_nonzero(reached) <= sparse_words:
+                path = "sparse"
+                _translate_or_sparse(steps, reached, acc, tmps[0])
+            else:
+                path = "dense"
+                runs = (range(blocks * j // workers, blocks * (j + 1) // workers) for j in range(workers))
+                list((map if pool is None else pool.map)(
+                    lambda run, tmp: _dense_blocks(steps, reached, acc, block, run, tmp), runs, tmps))
             if w + 1 < len(seeds):  # after the pull has cleared its misses, which would clear a seed too
                 _set_unreached_bits(acc, reached, seeds[w + 1])
             acc |= reached  # the pull returns the stratum alone, and at w = 0 no translate holds 0

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bchcover.bounds import johnson_binary_floor, johnson_general_floor
 from bchcover.cli import main
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -80,6 +81,35 @@ def test_johnson_normalized(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "d_over_n,tau_general_over_n,tau_binary_over_n"
     assert 2 <= len(lines) - 1 <= 8
+
+
+def test_johnson_steps_past_n_over_2_print_the_integer_rows_once(capsys):
+    # 10**12 samples repeat the n // 2 = 15 values of d; only 15 are taken
+    _, many, _ = run(capsys, "johnson", "--n", "31", "--steps", str(10**12))
+    _, fifteen, _ = run(capsys, "johnson", "--n", "31", "--steps", "15")
+    assert many == fifteen
+    assert len(many.splitlines()) == 16
+
+
+def _johnson_rows_sampled_every_step(n: int, steps: int) -> str:
+    """``johnson --steps`` output from one sample per step, however many steps."""
+    lines = ["d_over_n,tau_general_over_n,tau_binary_over_n"]
+    seen = set()
+    for i in range(steps):
+        d = max(1, round(1 + (n // 2 - 1) * i / (steps - 1)))
+        if d not in seen:
+            seen.add(d)
+            tg, tb = johnson_general_floor(n, d), johnson_binary_floor(n, d)
+            lines.append(f"{d / n:.6f},{tg / n:.6f},{tb / n:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 31, 63])
+def test_johnson_steps_match_one_sample_per_step(capsys, n):
+    for steps in range(2, 41):
+        code, out, _ = run(capsys, "johnson", "--n", str(n), "--steps", str(steps))
+        assert code == 0
+        assert out == _johnson_rows_sampled_every_step(n, steps), steps
 
 
 def test_johnson_rejects_single_step(capsys):

@@ -274,12 +274,12 @@ def _pull_case() -> LinearCode:
     return random_code(random.Random(1), 20, 6)
 
 
-@pytest.mark.parametrize("chunk,carry", [(1 << 14, 256), (16, 2), (16, 0)],
+@pytest.mark.parametrize("chunk,carry", [(1 << 16, 256), (16, 2), (16, 0)],
                          ids=["default", "chunks-of-16", "no-carry"])
 def test_pull_stratum_before_the_last_matches_brute_force(monkeypatch, chunk, carry):
     # Small chunks and carries send the 256 words of this code through the
     # per-chunk column loop as well as the merged one.
-    monkeypatch.setattr(radius, "_PULL_CHUNK", chunk)
+    monkeypatch.setattr(radius, "_CHUNK", chunk)
     monkeypatch.setattr(radius, "_PULL_CARRY", carry)
     code = _pull_case()
     leaders = _brute_force_leaders(code)
@@ -295,32 +295,48 @@ def test_pull_stratum_before_the_last_matches_brute_force(monkeypatch, chunk, ca
 
 
 def _chunk_cases():
-    """(code, words per dense block or None for the default), for the cut cases and the pull case."""
+    """(code, words per chunk or None for the default), for the cut cases and the pull case."""
     codes = _cut_cases() + [pytest.param(_pull_case(), id="pull20-6")]
     return [pytest.param(p.values[0], None, id=p.id) for p in codes] + [
-        pytest.param(p.values[0], block, id=f"{p.id}-blocks-of-{block}") for p in codes for block in (4, 64)
+        pytest.param(p.values[0], chunk, id=f"{p.id}-blocks-of-{chunk}") for p in codes for chunk in (4, 64)
     ]
 
 
-@pytest.mark.parametrize("code,block", _chunk_cases())
-def test_swap_chunks_match_brute_force(monkeypatch, code, block):
-    # The oracle codes have at most 256 words, fewer than one default chunk.
-    # 24-word chunks send the dense, sparse and pull permutations through the
-    # chunk loop, remainders included. Dense blocks of 4 words cut these
-    # codes into 32 or 64 blocks, so the translates flip the block index as
-    # well as the words inside a block; blocks of 64 words make 2 or 4, fewer
-    # than 5 jobs, which then run one worker per block; 3 workers divide no
-    # block count.
-    monkeypatch.setattr(radius, "_SWAP_CHUNK", 24)
-    if block is not None:
-        monkeypatch.setattr(radius, "_DENSE_BLOCK", block)
+@pytest.mark.parametrize("code,chunk", _chunk_cases())
+def test_swap_chunks_match_brute_force(monkeypatch, code, chunk):
+    # The oracle codes have at most 256 words, fewer than one default chunk,
+    # so by default each is one dense block. Chunks of 4 or 64 words send the
+    # sparse values and the pull's pending sets through the chunk loop of
+    # their permutations, remainders included. They also cut these codes into
+    # 32 or 64 dense blocks of 4 words, so the translates flip the block
+    # index as well as the words inside a block, or into 2 or 4 blocks of 64
+    # words, fewer than 5 jobs, which then run one worker per block; 3
+    # workers divide no block count.
+    if chunk is not None:
+        monkeypatch.setattr(radius, "_CHUNK", chunk)
     counts, deepest = _brute_force_leader_profile(code)
-    for jobs in (1, 3) if block is None else (1, 2, 3, 5):
+    for jobs in (1, 3) if chunk is None else (1, 2, 3, 5):
         events = []
         result = covering_radius(code, jobs=jobs, on_event=events.append)
         assert result.coset_count_by_weight == counts
         assert result.deepest_syndrome == Word(deepest, code.n - code.k)
         assert {e.path for e in events} == {"sparse", "dense", "pull"}
+
+
+@pytest.mark.parametrize("path,sparse_words", [("dense", 0), ("sparse", 1 << 40)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("code", _cut_cases() + [pytest.param(_pull_case(), id="pull20-6")])
+def test_forced_translate_path_matches_brute_force(monkeypatch, code, path, sparse_words):
+    # A sparse cut of 0 words grows every stratum that is not pulled densely,
+    # thin ones included; a cut past any bitset grows them all sparsely, thick
+    # ones included.
+    monkeypatch.setattr(radius, "_sparse_words", lambda steps, words, workers: sparse_words)
+    counts, deepest = _brute_force_leader_profile(code)
+    for jobs in (1, 3):
+        events = []
+        result = covering_radius(code, jobs=jobs, on_event=events.append)
+        assert result.coset_count_by_weight == counts
+        assert result.deepest_syndrome == Word(deepest, code.n - code.k)
+        assert {e.path for e in events} == {path, "pull"}
 
 
 def test_checkpoint_around_a_pull_stratum_resumes(tmp_path):
@@ -352,7 +368,7 @@ def _bits_moved(x: np.ndarray, d: int) -> np.ndarray:
 
 @pytest.mark.parametrize("length", [1, 7, 8, 8 * 3 + 5], ids=["1", "7", "one-chunk", "chunks-and-rest"])
 def test_swap_bits_moves_bit_p_to_p_xor_d(monkeypatch, length):
-    monkeypatch.setattr(radius, "_SWAP_CHUNK", 8)
+    monkeypatch.setattr(radius, "_CHUNK", 8)
     words = np.random.default_rng(length).integers(0, 2**64, length, dtype=np.uint64)
     words[0] = 0x0123456789ABCDEF
     tmp = np.empty(min(length, 8), dtype=np.uint64)
@@ -364,7 +380,7 @@ def test_swap_bits_moves_bit_p_to_p_xor_d(monkeypatch, length):
 
 def test_swap_bits_on_an_offset_slice(monkeypatch):
     # the dense path permutes its block of the accumulator, a slice, in place
-    monkeypatch.setattr(radius, "_SWAP_CHUNK", 8)
+    monkeypatch.setattr(radius, "_CHUNK", 8)
     buffer = np.random.default_rng(5).integers(0, 2**64, 40, dtype=np.uint64)
     tmp = np.empty(8, dtype=np.uint64)
     for d in range(64):

@@ -27,7 +27,6 @@ class BchSpec:
     n: int
     m: int              # ord_n(2), the extension degree used
     delta: int          # designed distance
-    b: int              # first consecutive root exponent (always 1 here)
     beta_log: int       # log_alpha(beta) = (2^m - 1) / n
 
 
@@ -78,5 +77,5 @@ def build_bch(n: int, delta: int) -> tuple[LinearCode, BchSpec]:
     """
     g = generator_polynomial(n, delta)
     m = multiplicative_order_of_two(n)
-    spec = BchSpec(n=n, m=m, delta=delta, b=1, beta_log=((1 << m) - 1) // n)
+    spec = BchSpec(n=n, m=m, delta=delta, beta_log=((1 << m) - 1) // n)
     return from_generator_poly(g, n, designed_distance=delta), spec

@@ -104,7 +104,6 @@ class CoverageReport:
     covering_radius: int | None
     tau_general: int
     tau_binary: int
-    tau_binary_saturated: bool
     is_perfect: bool
     is_a_covered: bool
     strictly_covered: bool
@@ -127,11 +126,9 @@ def classify(code: LinearCode, radius: RadiusResult | None = None, comment: str 
     if 2 * d > code.n:
         # ball-covering regime the bound formula cannot express; report n/2
         tau_binary = code.n // 2
-        saturated = True
         notes.append("binary Johnson bound undefined for 2d > n; reported as n/2")
     else:
         tau_binary = johnson_binary_floor(code.n, d)
-        saturated = False
     r = None if radius is None else radius.covering_radius
     if r is None:
         notes.append("R unknown")
@@ -150,7 +147,6 @@ def classify(code: LinearCode, radius: RadiusResult | None = None, comment: str 
         covering_radius=r,
         tau_general=tau_general,
         tau_binary=tau_binary,
-        tau_binary_saturated=saturated,
         is_perfect=perfect,
         is_a_covered=a_covered,
         strictly_covered=strict,

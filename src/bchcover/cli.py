@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"bchcover: error: {exc}", file=sys.stderr)
         return 1
 

@@ -109,19 +109,19 @@ _SWAP_MASKS = tuple(
         0x00000000FFFFFFFF,
     )
 )
-# Words per chunk: of a _swap_bits pass, of a dense block (a power of two), of
-# the pull's pending set and of a _lowest_zero_bit read. A chunk (512 KiB) and
-# its scratch buffer stay in a 2 MiB L2 across the five passes of a mask swap,
-# and a dense block across all of its columns. Smaller chunks pay numpy's
-# per-call overhead more often, larger ones miss L2. Timed on a 2-core Xeon
-# with numpy 2.4: one mask swap over 2^19 words took 1.9 ms unchunked, 1.45 ms
-# in chunks of 2^13 or 2^17 words and 1.1 ms in chunks of 2^14-2^16. The dense
-# strata of one search, summed (medians of 8 searches), at blocks of 2^14,
-# 2^15, 2^16 and 2^17 words: [31,6] at jobs 1 168, 155, 152 and 157 ms;
-# [63,39] at jobs 2 93, 75, 70 and 67 ms; [63,36] at jobs 2 (medians of 2)
-# 605, 478, 438 and 439 ms.
+# Words per chunk: of a _swap_bits pass, of a dense block (a power of two) and
+# of the pull's pending set. A chunk (512 KiB) and its scratch buffer stay in a
+# 2 MiB L2 across the five passes of a mask swap, and a dense block across all
+# of its columns. Smaller chunks pay numpy's per-call overhead more often,
+# larger ones miss L2. Timed on a 2-core Xeon with numpy 2.4: one mask swap
+# over 2^19 words took 1.9 ms unchunked, 1.45 ms in chunks of 2^13 or 2^17
+# words and 1.1 ms in chunks of 2^14-2^16. The dense strata of one search,
+# summed (medians of 8 searches), at blocks of 2^14, 2^15, 2^16 and 2^17
+# words: [31,6] at jobs 1 168, 155, 152 and 157 ms; [63,39] at jobs 2 93, 75,
+# 70 and 67 ms; [63,36] at jobs 2 (medians of 2) 605, 478, 438 and 439 ms. The
+# pull of [31,6] w=11 took 5.8 ms in chunks and 6.6 ms as one pending set
+# (faster in 21 of 21 interleaved calls).
 _CHUNK = 1 << 16
-_PULL_CARRY = 256  # a chunk's pending words that wait for the merged columns
 
 
 @dataclass(frozen=True)
@@ -297,16 +297,10 @@ def _seed_syndromes(cols: list[int]) -> list[np.ndarray]:
     return by_weight
 
 
-def _set_unreached_bits(bits: np.ndarray, reached: np.ndarray, syndromes: np.ndarray) -> None:
-    """Set the bits of these syndromes in the bitset, in one scatter (repeats allowed).
-
-    Syndromes already in ``reached`` are dropped first; the caller ORs
-    ``reached`` into the bitset after.
-    """
+def _set_bits(bits: np.ndarray, syndromes: np.ndarray) -> None:
+    """Set the bits of these syndromes in the bitset, in one scatter (repeats allowed)."""
     words = (syndromes >> 6).astype(np.intp)
-    ones = np.left_shift(np.uint64(1), (syndromes & 63).astype(np.uint64))
-    new = (reached[words] & ones) == 0
-    np.bitwise_or.at(bits, words[new], ones[new])
+    np.bitwise_or.at(bits, words, np.left_shift(np.uint64(1), (syndromes & 63).astype(np.uint64)))
 
 
 def _dense_blocks(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, block: int, run: range,
@@ -368,56 +362,37 @@ def _translate_or_sparse(steps: list[tuple[int, int]], bits: np.ndarray, acc: np
 def _pull(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
     """acc = the next stratum, found by testing the unreached syndromes.
 
-    acc starts as ~reached. Each word with pending (unreached) bits then
-    tries the walk-ordered columns c: translate(reached, c) at word i is
-    reached[i ^ (c >> 6)] with its bits permuted by c & 63. An unreached
-    syndrome hits it only if it lies in the next stratum. The pending
-    bits are kept permuted by the current column's low bits instead, so a
-    column costs one permutation of them and one gather. Hits leave the
-    pending set, and words with no pending bits are dropped. Bits still
-    pending after the last column are cleared from acc.
+    acc starts as ~reached and is taken in chunks of ``_CHUNK`` words, so no
+    buffer grows with 2^(n-k) and a chunk's pending set stays in L2. The
+    words of a chunk with pending (unreached) bits try the walk-ordered
+    columns c: translate(reached, c) at word i is reached[i ^ (c >> 6)]
+    with its bits permuted by c & 63. An unreached syndrome hits it only if
+    it lies in the next stratum. The pending bits are kept permuted by the
+    current column's low bits instead, so a column costs one permutation of
+    them and one gather. Hits leave the pending set, and words with no
+    pending bits are dropped. Bits still pending after the last column are
+    permuted back and cleared from acc.
     """
-    lows = [0] + [d for d, _ in steps]
     np.invert(reached, out=acc)
-
-    def step(j: int, idx: np.ndarray, pend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _swap_bits(pend, lows[j] ^ lows[j + 1], tmp)
-        hit = np.take(reached, idx ^ steps[j][1])
-        hit &= pend
-        pend ^= hit
-        keep = np.flatnonzero(pend)
-        return idx[keep], pend[keep]
-
-    def clear_misses(idx: np.ndarray, pend: np.ndarray) -> None:
-        _swap_bits(pend, lows[-1], tmp)
-        acc[idx] ^= pend
-
-    # The word range is taken in chunks, so no buffer grows with 2^(n-k). A
-    # chunk runs its columns until at most _PULL_CARRY of its words are
-    # pending, and leaves those waiting at the next column; before each
-    # column the waiting words of all chunks are merged, so a few misses
-    # per chunk do not cost every chunk a pass over every column.
-    waiting: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in steps]
     for start in range(0, len(acc), _CHUNK):
         part = acc[start: start + _CHUNK]
         idx = np.flatnonzero(part)
         pend = part[idx]
         idx += start
-        j = 0
-        while j < len(steps) and len(idx) > _PULL_CARRY:
-            idx, pend = step(j, idx, pend)
-            j += 1
-        if j == len(steps):
-            clear_misses(idx, pend)
-        elif len(idx):
-            waiting[j].append((idx, pend))
-    for j, parts in enumerate(waiting):
-        if parts:
-            idx, pend = step(j, *map(np.concatenate, zip(*parts)))
-            if j + 1 == len(steps):
-                clear_misses(idx, pend)
-            elif len(idx):
-                waiting[j + 1].append((idx, pend))
+        low = 0
+        for d, high in steps:
+            if not len(idx):
+                break
+            _swap_bits(pend, d ^ low, tmp)
+            low = d
+            hit = np.take(reached, idx ^ high)
+            hit &= pend
+            pend ^= hit
+            keep = np.flatnonzero(pend)
+            idx, pend = idx[keep], pend[keep]
+        else:
+            _swap_bits(pend, low, tmp)
+            acc[idx] ^= pend
 
 
 def _sparse_words(steps: list[tuple[int, int]], words: int, workers: int) -> int:
@@ -446,13 +421,10 @@ def _sparse_words(steps: list[tuple[int, int]], words: int, workers: int) -> int
 
 
 def _lowest_zero_bit(bits: np.ndarray) -> int:
-    """Lowest clear bit of a bitset that has one, read a chunk at a time."""
-    for start in range(0, len(bits), _CHUNK):
-        open_words = np.flatnonzero(~bits[start: start + _CHUNK])
-        if len(open_words):
-            i = start + int(open_words[0])
-            free = ~int(bits[i])
-            return 64 * i + (free & -free).bit_length() - 1
+    """Lowest clear bit of a bitset that has one."""
+    i = int(np.argmax(bits != ~np.uint64(0)))
+    free = ~int(bits[i])
+    return 64 * i + (free & -free).bit_length() - 1
 
 
 # ----------------------------------------------------------------------
@@ -618,7 +590,7 @@ def covering_radius(
                 list((map if pool is None else pool.map)(
                     lambda run, tmp: _dense_blocks(steps, reached, acc, block, run, tmp), runs, tmps))
             if w + 1 < len(seeds):  # after the pull has cleared its misses, which would clear a seed too
-                _set_unreached_bits(acc, reached, seeds[w + 1])
+                _set_bits(acc, seeds[w + 1])
             acc |= reached  # the pull returns the stratum alone, and at w = 0 no translate holds 0
             w += 1
             count = int(np.bitwise_count(acc).sum()) - seen

@@ -105,7 +105,6 @@ def test_dimensions_match_reference(row):
     assert (code.n, code.k) == (row.n, row.k)
     assert spec.m == multiplicative_order_of_two(row.n)
     assert spec.delta == row.delta
-    assert spec.b == 1
 
 
 def test_beta_has_order_n():

@@ -234,7 +234,6 @@ def test_classify_lower_bound_distance_is_flagged():
 def test_classify_saturated_binary_bound():
     repetition = LinearCode([0b11111], 5)  # d = 5, 2d > n
     report = classify(repetition, RadiusResult(2, (1, 5, 10), Word.from_text("1100")))
-    assert report.tau_binary_saturated
     assert report.tau_binary == 2  # n // 2 convention
     assert "2d > n" in report.comment
 

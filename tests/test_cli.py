@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bchcover.bounds import johnson_binary_floor, johnson_general_floor
+from bchcover import cli
 from bchcover.cli import main
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -116,6 +117,17 @@ def test_johnson_rejects_single_step(capsys):
     code, _, err = run(capsys, "johnson", "--n", "31", "--steps", "1")
     assert code == 1
     assert "steps" in err
+
+
+def test_an_internal_zero_division_is_not_reported_as_a_usage_error(monkeypatch):
+    # every divisor on a CLI path is checked nonzero first, so one that is
+    # zero is a bug and must surface, not exit 1 as a refused input
+    def divide_by_zero(n):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "johnson_curve", divide_by_zero)
+    with pytest.raises(ZeroDivisionError):
+        main(["johnson", "--n", "7"])
 
 
 @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "-3"), ("--n", "1", "--steps", "2")])

@@ -274,13 +274,12 @@ def _pull_case() -> LinearCode:
     return random_code(random.Random(1), 20, 6)
 
 
-@pytest.mark.parametrize("chunk,carry", [(1 << 16, 256), (16, 2), (16, 0)],
-                         ids=["default", "chunks-of-16", "no-carry"])
-def test_pull_stratum_before_the_last_matches_brute_force(monkeypatch, chunk, carry):
-    # Small chunks and carries send the 256 words of this code through the
-    # per-chunk column loop as well as the merged one.
+@pytest.mark.parametrize("chunk", [1 << 16, 16, 1], ids=["default", "chunks-of-16", "chunks-of-1"])
+def test_pull_stratum_before_the_last_matches_brute_force(monkeypatch, chunk):
+    # Chunks of 16 cut the 256 words of this code into 16 pending sets, some
+    # emptied before the last column and some left with misses to clear;
+    # chunks of 1 leave a pending set of a single word.
     monkeypatch.setattr(radius, "_CHUNK", chunk)
-    monkeypatch.setattr(radius, "_PULL_CARRY", carry)
     code = _pull_case()
     leaders = _brute_force_leaders(code)
     counts, deepest = _brute_force_leader_profile(code)
@@ -388,6 +387,21 @@ def test_swap_bits_on_an_offset_slice(monkeypatch):
         radius._swap_bits(x[3:32], d, tmp)
         assert np.array_equal(x[3:32], _bits_moved(buffer[3:32], d)), d
         assert np.array_equal(x[:3], buffer[:3]) and np.array_equal(x[32:], buffer[32:])
+
+
+FULL = 2**64 - 1
+
+
+@pytest.mark.parametrize("words", [
+    pytest.param([0b1011], id="one-word"),
+    pytest.param([FULL ^ 1 << 37, 0, FULL], id="word-0"),
+    pytest.param([FULL, FULL >> 1, 0, FULL], id="bit-63-of-a-middle-word"),
+    pytest.param([FULL] * 5 + [FULL ^ 1 << 9 ^ 1 << 40], id="last-word"),
+])
+def test_lowest_zero_bit_matches_a_bit_by_bit_scan(words):
+    bits = np.array(words, dtype=np.uint64)
+    first_clear = next(p for p in range(64 * len(words)) if not words[p // 64] >> (p % 64) & 1)
+    assert radius._lowest_zero_bit(bits) == first_clear
 
 
 @pytest.mark.parametrize("code,seeded", [

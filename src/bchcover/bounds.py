@@ -54,10 +54,7 @@ class WuRadius(NamedTuple):
 def _floor_linear_minus_sqrt(c: int, e: int, rad: int, f: int) -> int:
     """floor((c - e*sqrt(rad)) / f) for integers e, rad >= 0 and f > 0."""
     sq = e * e * rad
-    s = isqrt(sq)
-    if s * s == sq:
-        return (c - s) // f
-    z = (c - s - 1) // f  # (c - s - 1) < c - e*sqrt(rad), so z never overshoots
+    z = (c - isqrt(sq) - 1) // f  # c - isqrt(sq) - 1 < c - e*sqrt(rad), so z never overshoots
     while True:
         rem = c - (z + 1) * f
         if rem >= 0 and sq <= rem * rem:

@@ -140,7 +140,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         result = list_decode(code, v, args.tau)
     print(f"mode = {args.mode}")
     print(f"radius_used = {result.radius_used}")
-    print(f"exhausted = {_flag(result.exhausted)}")
     print("codeword,distance")
     for cw, dist in result.entries:
         print(f"{cw},{dist}")

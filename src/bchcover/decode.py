@@ -26,6 +26,7 @@ no search.
   list_decode(tau)  joins every needle part of weight <= tau in the group
                     and keeps the patterns of weight <= tau. Weights are
                     summed first; only kept patterns are assembled.
+                    A join past ``_SPLIT_MAX_PAIRS`` pairs is refused.
   ml_decode(cap)    joins the needle parts of the group of weight <= cap
                     and <= the weight of one pattern of the coset read off
                     the pivots of H', and keeps the patterns of least
@@ -57,6 +58,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from math import comb
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,6 +73,8 @@ _SCAN_MAX_PREFIXES = 1 << 20
 # with n in 20..31 (2-core Xeon, numpy 2.4): weighing all pairs is 3-8 us faster below 2^10
 # pairs, the two break even between 2^10 and 2^11, and the narrowing is 1.3-13x faster above 2^12.
 _WEIGH_ALL_MAX = 1 << 11
+# (needle part, lookup mask) pairs one list query may join, a 16 MiB uint8 weight matrix ([31,26] at tau 31: 2^26)
+_SPLIT_MAX_PAIRS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -78,24 +82,17 @@ class DecodeResult:
     """Decoded codewords with their distances, nearest first.
 
     Entries are sorted by (distance, codeword text) and contain no
-    duplicates; ``exhausted`` is True iff every pattern up to
-    ``radius_used`` was considered. ``strategy`` names the engine that
-    ran ("scan" or "split"); it is left out of equality, so results of
-    the two engines compare by their answers.
+    duplicates. Every result is exhaustive: each pattern up to
+    ``radius_used`` was considered, since a search past a guard is refused
+    by name, never truncated. ``strategy`` names the engine that ran
+    ("scan" or "split"); it is left out of equality, so results of the two
+    engines compare by their answers.
     """
 
+    exhausted: ClassVar[bool] = True
     entries: tuple[tuple[Word, int], ...]
     radius_used: int
-    exhausted: bool
     strategy: str = field(compare=False)
-
-    @property
-    def codewords(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.entries)
-
-    @property
-    def distances(self) -> tuple[int, ...]:
-        return tuple(dist for _, dist in self.entries)
 
 
 _REVERSED_BYTE = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
@@ -119,7 +116,7 @@ def _result(code: LinearCode, v_bits: int, masks: list[int], radius_used: int, s
         fields["bits"] = v_bits ^ mask
         fields["n"] = code.n
         entries.append((word, mask.bit_count()))
-    return DecodeResult(entries=tuple(entries), radius_used=radius_used, exhausted=True, strategy=strategy)
+    return DecodeResult(entries=tuple(entries), radius_used=radius_used, strategy=strategy)
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +231,9 @@ class _SplitIndex:
     def within(self, bits: int, tau: int) -> np.ndarray:
         """Every pattern of weight <= tau with the syndrome of the word ``bits``."""
         seg, cols = self._segment(_xor_rows(self.columns, bits), tau)
+        if (pairs := len(cols) * self.lookup.shape[0]) > _SPLIT_MAX_PAIRS:
+            raise ValueError(f"split list decoding refused at tau = {tau}: it would join {pairs} pairs, "
+                             f"more than _SPLIT_MAX_PAIRS = {_SPLIT_MAX_PAIRS}")
         return self._join(self.needle_mask[seg], self.needle_weight[seg], cols, lambda w: w <= tau)
 
     def nearest(self, bits: int, cap: int) -> np.ndarray:

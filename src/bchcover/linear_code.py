@@ -86,8 +86,6 @@ def _rref(rows: list[int], n: int) -> tuple[list[int], list[int]]:
                 work[i] ^= work[r]
         pivots.append(col)
         r += 1
-        if r == len(work):
-            break
     return work, pivots
 
 
@@ -152,16 +150,14 @@ class LinearCode:
         """Exact minimum weight when 2^k fits ``CODEWORD_BUDGET``, else a lower bound.
 
         The exact value is the least i >= 1 with A_i > 0 in
-        ``weight_distribution``, which enumerates 2^min(k, n-k) words; the
-        budget, read at call time, still gates on 2^k. Each call computes
-        it afresh. The lower bound is the stored designed distance (1 if
-        none is known).
+        ``weight_distribution`` (n + 1 for the empty code), which
+        enumerates 2^min(k, n-k) words; the budget, read at call time,
+        still gates on 2^k. Each call computes it afresh. The lower bound
+        is the stored designed distance (1 if none is known).
         """
-        if self.k == 0:
-            return self.n + 1, "exact"  # empty code: no nonzero codeword
         if (1 << self.k) <= CODEWORD_BUDGET:
             weights = weight_distribution(self)
-            return next(i for i in range(1, self.n + 1) if weights[i]), "exact"
+            return next((i for i in range(1, self.n + 1) if weights[i]), self.n + 1), "exact"
         return self.designed_distance or 1, "lower_bound"
 
     def __repr__(self) -> str:

@@ -164,10 +164,9 @@ class WeightCapExceeded(RuntimeError):
     def __init__(self, weight_cap: int, counts: tuple[int, ...], total: int):
         self.weight_cap = weight_cap
         self.counts_so_far = counts
-        self.syndromes_seen = sum(counts)
         self.syndrome_total = total
         super().__init__(
-            f"R > {weight_cap}: only {self.syndromes_seen} of {total} syndromes "
+            f"R > {weight_cap}: only {sum(counts)} of {total} syndromes "
             f"covered at weight {weight_cap}"
         )
 
@@ -531,8 +530,6 @@ def covering_radius(
     resumed = _load_checkpoint(checkpoint_path, code, words) if checkpoint_path else None
     if resumed is not None:
         reached, counts, w = resumed
-        if w > weight_cap:
-            raise WeightCapExceeded(weight_cap, tuple(counts[: weight_cap + 1]), total)
     else:
         reached = np.zeros(words, dtype=np.uint64)
         reached[0] = 1
@@ -553,8 +550,8 @@ def covering_radius(
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while seen < total:
-            if w >= weight_cap:
-                raise WeightCapExceeded(weight_cap, tuple(counts), total)
+            if w >= weight_cap:  # also a resumed checkpoint already past the cap
+                raise WeightCapExceeded(weight_cap, tuple(counts[: weight_cap + 1]), total)
             start = perf_counter()
             # Each path fills acc so that its bits outside reached are the next
             # stratum, less its seeds. The pull costs a gather and a delta swap
@@ -576,8 +573,8 @@ def covering_radius(
             # So the crossover lies between U/F 0.37 and 1.30 at n = 63 and
             # below 0.61 at n = 31; every pulled stratum ran at least 3.5x
             # faster than dense, and every kept one faster dense than pulled.
-            # Those walks had in-word moves; [31,6] w=11 on its move-free walk
-            # took 7.3 dense, 9.7 pulled.
+            # Those walks had in-word moves; on its move-free walk [31,6] w=11 takes
+            # 3.8 ms dense, 4.9 pulled (medians of 30 alternating calls, one reached).
             if 2 * (total - seen) <= counts[-1]:
                 path = "pull"
                 _pull(steps, reached, acc, tmps[0])

@@ -177,10 +177,10 @@ def test_criterion_6_decoding_oracle_equivalence():
                 dist = np.bitwise_count(cw ^ np.uint64(v))
                 nearest = int(dist.min())
                 got = ml_decode(code, Word(v, row.n))
-                assert got.distances[0] == nearest
-                assert {w.bits for w in got.codewords} == set(cw[dist == nearest].tolist())
+                assert got.entries[0][1] == nearest
+                assert {w.bits for w, _ in got.entries} == set(cw[dist == nearest].tolist())
                 for tau in taus:
-                    listed = {w.bits for w in list_decode(code, Word(v, row.n), tau).codewords}
+                    listed = {w.bits for w, _ in list_decode(code, Word(v, row.n), tau).entries}
                     assert listed == set(cw[dist <= tau].tolist())
     report("6", timer, "ml + list decoding match brute force on 9 codes x 1000 words x {t, R, tau_binary}")
 

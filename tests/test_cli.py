@@ -293,7 +293,6 @@ def test_decode_ml_on_codeword(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert "radius_used = 0" in lines
-    assert "exhausted = true" in lines
     assert lines[-1] == "1101000,0"
 
 

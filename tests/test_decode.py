@@ -54,7 +54,7 @@ def test_golay_matches_brute_force():
     rng = random.Random(2023)
     for _ in range(40):
         v = Word(rng.randrange(1 << 23), 23)
-        got = {w.bits for w in list_decode(code, v, 4).codewords}
+        got = {w.bits for w, _ in list_decode(code, v, 4).entries}
         assert got == brute_force_within(code, v, 4)
 
 
@@ -65,8 +65,8 @@ def test_monotone_in_tau(tau_pair):
     t1, t2 = tau_pair
     for _ in range(25):
         v = Word(rng.randrange(1 << 15), 15)
-        small = set(list_decode(code, v, t1).codewords)
-        assert small <= set(list_decode(code, v, t2).codewords)
+        small = {w for w, _ in list_decode(code, v, t1).entries}
+        assert small <= {w for w, _ in list_decode(code, v, t2).entries}
 
 
 def test_strategies_agree():
@@ -107,7 +107,7 @@ def test_strategies_agree_at_weight_7_on_23_12():
     v = Word(random.Random(100).randrange(1 << 23), 23)
     scan = list_decode(code, v, 7, strategy="scan")
     assert scan == list_decode(code, v, 7, strategy="split")
-    assert max(scan.distances) == 7
+    assert max(dist for _, dist in scan.entries) == 7
 
 
 def test_result_ordering_and_dedup():
@@ -118,8 +118,8 @@ def test_result_ordering_and_dedup():
         result = list_decode(code, v, 5)
         keys = [(dist, str(w)) for w, dist in result.entries]
         assert keys == sorted(keys)
-        assert len({w.bits for w in result.codewords}) == len(result.entries)
-        assert all(dist <= result.radius_used for dist in result.distances)
+        assert len({w.bits for w, _ in result.entries}) == len(result.entries)
+        assert all(dist <= result.radius_used for _, dist in result.entries)
         assert result.exhausted
 
 
@@ -194,7 +194,7 @@ def test_scan_matches_codeword_oracle_on_every_syndrome():
                 result = ml_decode(code, v, weight_cap=tau, strategy="scan")
                 assert result.radius_used == min(tau, nearest) and result.exhausted
                 expected = set(cw[dist == nearest].tolist()) if nearest <= tau else set()
-                assert {w.bits for w in result.codewords} == expected
+                assert {w.bits for w, _ in result.entries} == expected
     # a codeword (target 0) at tau 0 is its own only match
     c = Word(repeated.generator_rows[2], repeated.n)
     assert list_decode(repeated, c, 0, strategy="scan").entries == ((c, 0),)
@@ -286,8 +286,8 @@ def test_split_ml_on_every_word_of_15_11():
         dist = np.bitwise_count(cw ^ np.uint64(bits))
         nearest = int(dist.min())
         result = ml_decode(code, Word(bits, code.n), strategy="split")
-        assert result.radius_used == nearest == result.distances[0]
-        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+        assert result.radius_used == nearest == result.entries[0][1]
+        assert {w.bits for w, _ in result.entries} == set(cw[dist == nearest].tolist())
 
 
 def test_split_ml_and_list_on_every_word_of_15_5():
@@ -301,8 +301,8 @@ def test_split_ml_and_list_on_every_word_of_15_5():
         nearest = int(dist.min())
         v = Word(bits, code.n)
         result = ml_decode(code, v, strategy="split")
-        assert result.radius_used == nearest == result.distances[0]
-        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+        assert result.radius_used == nearest == result.entries[0][1]
+        assert {w.bits for w, _ in result.entries} == set(cw[dist == nearest].tolist())
         tau = 3 + bits % 3  # t = 3, R = 5 and 4 in between
         result = list_decode(code, v, tau, strategy="split")
         keep = dist <= tau
@@ -328,7 +328,7 @@ def test_split_ml_narrowing_matches_brute_force(monkeypatch, weigh_all_max):
                 if cap < nearest:
                     assert result.entries == ()
                 else:
-                    assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+                    assert {w.bits for w, _ in result.entries} == set(cw[dist == nearest].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_ml_at_a_deep_hole():
     v = word_with_syndrome(code, deep.bits)
     result = ml_decode(code, v)
     assert result.radius_used == 3  # R for this code
-    assert result.distances[0] == 3 == brute_force_nearest(code, v)
+    assert result.entries[0][1] == 3 == brute_force_nearest(code, v)
 
 
 def test_ml_matches_brute_force():
@@ -360,8 +360,8 @@ def test_ml_matches_brute_force():
             v = Word(rng.randrange(1 << n), n)
             result = ml_decode(code, v)
             expected = brute_force_nearest(code, v)
-            assert result.distances[0] == expected
-            assert {w.bits for w in result.codewords} == brute_force_within(code, v, expected)
+            assert result.entries[0][1] == expected
+            assert {w.bits for w, _ in result.entries} == brute_force_within(code, v, expected)
 
 
 def test_ml_on_perfect_code_always_unique():
@@ -369,14 +369,13 @@ def test_ml_on_perfect_code_always_unique():
     for bits in range(1 << 7):
         result = ml_decode(code, Word(bits, 7))
         assert len(result.entries) == 1
-        assert result.distances[0] <= 1
+        assert result.entries[0][1] <= 1
 
 
 def test_ml_reports_ties():
     repetition = LinearCode([0b1111], 4)
     result = ml_decode(repetition, Word.from_text("0011"))
-    assert result.distances == (2, 2)
-    assert [str(w) for w in result.codewords] == ["0000", "1111"]
+    assert [(str(w), dist) for w, dist in result.entries] == [("0000", 2), ("1111", 2)]
 
 
 @pytest.mark.parametrize("row", [row for row in TABLE1 if not row.long_running], ids=lambda row: f"{row.n}-{row.k}")
@@ -392,7 +391,7 @@ def test_ml_at_the_deepest_syndrome_has_weight_r(row):
     result = ml_decode(code, Word(bits, code.n))
     assert result.strategy == ("split" if row.n <= 31 else "scan")
     assert result.radius_used == row.covering_radius
-    assert result.entries and set(result.distances) == {row.covering_radius}
+    assert result.entries and {dist for _, dist in result.entries} == {row.covering_radius}
 
 
 def test_ml_respects_weight_cap():
@@ -414,8 +413,8 @@ def test_split_ml_below_leader_weight_is_empty():
             assert result.entries == ()
             assert result.radius_used == cap and result.exhausted
         result = ml_decode(code, v, weight_cap=leader, strategy="split")
-        assert result.radius_used == leader == result.distances[0]
-        assert {w.bits for w in result.codewords} == brute_force_within(code, v, leader)
+        assert result.radius_used == leader == result.entries[0][1]
+        assert {w.bits for w, _ in result.entries} == brute_force_within(code, v, leader)
 
 
 def test_ml_matches_brute_force_on_every_word_of_an_odd_length_code():
@@ -425,8 +424,8 @@ def test_ml_matches_brute_force_on_every_word_of_an_odd_length_code():
         dist = np.bitwise_count(cw ^ np.uint64(bits))
         nearest = int(dist.min())
         result = ml_decode(code, Word(bits, code.n))
-        assert result.radius_used == nearest == result.distances[0]
-        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+        assert result.radius_used == nearest == result.entries[0][1]
+        assert {w.bits for w, _ in result.entries} == set(cw[dist == nearest].tolist())
 
 
 def test_ml_with_unknown_radius_leaves_the_code_untouched():
@@ -439,8 +438,8 @@ def test_ml_with_unknown_radius_leaves_the_code_untouched():
         dist = np.bitwise_count(cw ^ np.uint64(bits))
         nearest = int(dist.min())
         result = ml_decode(code, Word(bits, 23))
-        assert result.radius_used == nearest == result.distances[0]
-        assert {w.bits for w in result.codewords} == set(cw[dist == nearest].tolist())
+        assert result.radius_used == nearest == result.entries[0][1]
+        assert {w.bits for w, _ in result.entries} == set(cw[dist == nearest].tolist())
     assert vars(code) == before
 
 
@@ -475,6 +474,18 @@ def test_scan_refuses_list_decoding_past_its_limit():
     with pytest.raises(ValueError, match=r"scan of \[63,51\] refused at w = 6: .* _SCAN_MAX_PREFIXES = 1048576"):
         list_decode(code, v, 10)
     assert ml_decode(code, v).entries == ((Word(0, 63), 1),)
+
+
+def test_split_refuses_list_decoding_past_its_pair_limit(monkeypatch):
+    # [15,11] at tau 15 joins all 128 needle parts with the 16 lookup masks of
+    # their columns: 2,048 pairs, refused under a limit of 2^10 and listed at 2^11
+    code = bch_code(15, 3)
+    v = Word(0b101, 15)
+    monkeypatch.setattr(decode, "_SPLIT_MAX_PAIRS", 1 << 10)
+    with pytest.raises(ValueError, match=r"refused at tau = 15: it would join 2048 pairs, .* _SPLIT_MAX_PAIRS = 1024"):
+        list_decode(code, v, 15)
+    monkeypatch.setattr(decode, "_SPLIT_MAX_PAIRS", 1 << 11)
+    assert list_decode(code, v, 15) == list_decode(code, v, 15, strategy="scan")
 
 
 def test_result_reports_strategy():

@@ -22,6 +22,7 @@ from conftest import (
     covering_radius_oracle,
     radius_result,
     random_code,
+    span_table,
     word_with_syndrome,
 )
 
@@ -126,6 +127,31 @@ def test_coset_profile_brackets_d(row):
     counts = radius_result(row.n, row.delta).coset_count_by_weight + (0,) * (t + 2)  # past R: 0
     assert all(counts[w] == math.comb(row.n, w) for w in range(t + 1))
     assert counts[t + 1] < math.comb(row.n, t + 1)
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in TABLE1 if all(row.n % p for p in range(2, row.n))], ids=lambda r: f"n{r.n}-k{r.k}"
+)
+def test_coset_counts_of_a_prime_length_are_multiples_of_n(row):
+    # The cyclic shift maps cosets of weight w to cosets of weight w. It fixes
+    # v + C iff g | (x + 1)v, that is iff g | v since g(1) != 0: only the zero
+    # coset. So for prime n every other orbit has n cosets.
+    counts = radius_result(row.n, row.delta).coset_count_by_weight
+    assert all(count % row.n == 0 for count in counts[1:])
+
+
+DELSARTE_TIGHT = {(7, 4), (15, 11), (15, 5), (23, 12), (31, 26), (31, 21), (31, 16), (63, 57)}
+
+
+@pytest.mark.parametrize("row", [row for row in TABLE1 if row.n - row.k <= 20], ids=lambda r: f"n{r.n}-k{r.k}")
+def test_radius_within_delsarte_bound(row):
+    # Delsarte (Inform. Control 1973): R is at most the number of distinct
+    # nonzero weights of the dual code, enumerated here from the rows of H.
+    code = bch_code(row.n, row.delta)
+    dual_weights = set(np.bitwise_count(span_table(code.parity_rows)[1:]).tolist())
+    radius = radius_result(row.n, row.delta).covering_radius
+    assert radius <= len(dual_weights)
+    assert (radius == len(dual_weights)) == ((row.n, row.k) in DELSARTE_TIGHT)
 
 
 def test_deepest_syndrome_is_a_deep_hole():
@@ -516,7 +542,7 @@ def test_weight_cap_exceeded_is_explicit():
     err = info.value
     assert err.weight_cap == 2
     assert err.counts_so_far == (1, 15, 105)
-    assert err.syndromes_seen == 121
+    assert sum(err.counts_so_far) == 121
     assert err.syndrome_total == 256
     assert "R > 2" in str(err)
 
@@ -799,7 +825,7 @@ def test_weight_cap_below_resumed_checkpoint(tmp_path):
         err = info.value
         assert err.weight_cap == 2
         assert err.counts_so_far == (1, 31, 465)
-        assert err.syndromes_seen == 497
+        assert sum(err.counts_so_far) == 497
         assert "R > 2: only 497 of 32768" in str(err)
         result = covering_radius(build_bch(31, 7)[0], checkpoint_path=path)
         assert result.coset_count_by_weight == (1, 31, 465, 4495, 13020, 14756)

@@ -43,25 +43,28 @@ translated column, which is what makes the big searches ([31,6]: 2^25
 syndromes, [63,36]: 2^27) run in seconds once ``reached`` has spread. While
 few of its words are nonzero, the sparse path gathers just those words,
 permutes their bits, and ORs each column's translate into the accumulator
-at word i ^ (c >> 6), so the thin strata near weight 0 cost in proportion
-to their size; the cut weighs the walk's cost per word on each path, with
-the dense cost split between its threads (``_sparse_words``). Near the end
-of the search, when at most half as many syndromes are unreached as the
-last stratum holds, the pull path works the other way round: each unreached
-syndrome is tested against the columns' translates of ``reached`` and
-leaves at its first hit, so the last strata cost in proportion to what is
-left (``covering_radius`` tests both cuts, and derives this one).
-All three paths give the same translates, into one accumulator. The seeds
-are ORed in after the path returns, because the pull clears every unreached
-syndrome that no translate hits, seeds included. On dense strata the
-workers split the words, not the columns: the accumulator is cut into
-blocks of ``_CHUNK`` words (one block if it holds fewer), each of
-min(jobs, blocks) threads owns a contiguous run of them, and it walks every
-column over each of its blocks, reading the untouched ``reached``
-(``_dense_blocks``). With one block there is no pool. Sparse and pull
-strata run on the calling thread. A word of the accumulator is the OR of
-the same permuted words of ``reached`` whatever the blocks and threads, so
-every stratum, and hence the output, is bit-identical for any worker count.
+at word i ^ (c >> 6): a sparse stratum costs one bool scan, one copy and
+one popcount of the bitset, plus the walk over its nonzero words. The cut
+weighs the walk's cost per word on each path, with the dense cost split
+between its threads (``_sparse_words``). Near the end of the search, when
+at most half as many syndromes are unreached as the last stratum holds, the
+pull path works the other way round: each unreached syndrome is tested
+against the columns' translates of ``reached`` and leaves at its first hit,
+so the last strata cost in proportion to what is left (``covering_radius``
+tests both cuts, and derives this one). All three paths give the same
+translates, into one accumulator, which the sparse and dense paths start as
+a copy of ``reached``. The pull returns the next stratum alone, so
+``reached`` is ORed in after it, and the seeds after every path, because
+the pull clears every unreached syndrome that no translate hits, seeds
+included. On dense strata the workers split the words, not the columns: the
+accumulator is cut into blocks of ``_CHUNK`` words (one block if it holds
+fewer), each of min(jobs, blocks) threads owns a contiguous run of them,
+and it walks every column over each of its blocks, reading the untouched
+``reached`` (``_dense_blocks``). With one block there is no pool. Sparse
+and pull strata run on the calling thread. A word of the accumulator is the
+OR of the same permuted words of ``reached`` whatever the blocks and
+threads, so every stratum, and hence the output, is bit-identical for any
+worker count.
 
 A checkpoint file, if requested, is rewritten after each stratum that
 leaves syndromes unreached, through ``<path>.tmp`` and an atomic rename. It
@@ -119,8 +122,8 @@ _SWAP_MASKS = tuple(
 # summed (medians of 8 searches), at blocks of 2^14, 2^15, 2^16 and 2^17
 # words: [31,6] at jobs 1 168, 155, 152 and 157 ms; [63,39] at jobs 2 93, 75,
 # 70 and 67 ms; [63,36] at jobs 2 (medians of 2) 605, 478, 438 and 439 ms. The
-# pull of [31,6] w=11 took 5.8 ms in chunks and 6.6 ms as one pending set
-# (faster in 21 of 21 interleaved calls).
+# pull of [31,6] w=11 took 3.0-3.1 ms in chunks and 3.8-4.4 ms as one pending
+# set (faster in 42 of 42 interleaved calls).
 _CHUNK = 1 << 16
 
 
@@ -275,7 +278,13 @@ def _column_walk(code: LinearCode) -> tuple[list[tuple[int, int]], list[int]]:
             saved += cost(cols[i], cols[i + 1]) - cost(prev, cols[i + 1])
         return saved
 
-    seeds = [cols.pop(max(range(len(cols)), key=saving)) for _ in range(max(nk - 8, 0))]
+    savings, seeds = [saving(i) for i in range(len(cols))], []
+    for _ in range(max(nk - 8, 0)):
+        i = savings.index(max(savings))
+        seeds.append(cols.pop(i))
+        del savings[i]
+        for j in range(max(i - 1, 0), min(i + 1, len(cols))):  # only the two neighbours' savings change
+            savings[j] = saving(j)
     return [(c & 63, c >> 6) for c in cols], seeds
 
 
@@ -304,17 +313,18 @@ def _set_bits(bits: np.ndarray, syndromes: np.ndarray) -> None:
 
 def _dense_blocks(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, block: int, run: range,
                   tmp: np.ndarray) -> None:
-    """acc = OR over the walked columns c of translate(reached, c), on the blocks of ``block`` words in ``run``.
+    """acc = reached | OR over walked columns c of translate(reached, c), on the blocks of ``block`` words in ``run``.
 
     Block b of the translate by c is block b ^ (high >> log2 block) of
     ``reached``, its words flipped by the other bits of high = c >> 6 and
     their bits permuted by c & 63. A block of acc is kept permuted by the
     current column's low bits instead, so ``reached`` is read as it is and
     the next column costs one permutation of the block. The block starts
-    at zero in the first column's frame and is permuted back after the
-    last. In the ``(1,) + (2,) * log2 block`` view of a block, axis 1 + a
-    holds bit log2 block - 1 - a of the word index; the leading axis keeps
-    the view an array for 1-word blocks.
+    as the same block of ``reached``, which the first column's moves put
+    in its frame, and is permuted back after the last. In the ``(1,) +
+    (2,) * log2 block`` view of a block, axis 1 + a holds bit log2 block -
+    1 - a of the word index; the leading axis keeps the view an array for
+    1-word blocks.
     """
     axes = block.bit_length() - 1
     shape = (1,) + (2,) * axes
@@ -327,8 +337,8 @@ def _dense_blocks(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.nda
     ]
     for b in run:
         out, view = acc[b * block: (b + 1) * block], dst[b]
-        out.fill(0)
-        low = steps[0][0]
+        out[:] = reached[b * block: (b + 1) * block]
+        low = 0
         for d, high_block, flips in moves:
             _swap_bits(out, d ^ low, tmp)
             low = d
@@ -336,15 +346,15 @@ def _dense_blocks(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.nda
         _swap_bits(out, low, tmp)
 
 
-def _translate_or_sparse(steps: list[tuple[int, int]], bits: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
-    """acc = OR over the walked columns c of translate(bits, c), touching only the nonzero words of ``bits``.
+def _translate_or_sparse(steps: list[tuple[int, int]], bits: np.ndarray, nz: np.ndarray, acc: np.ndarray,
+                         tmp: np.ndarray) -> None:
+    """acc = bits | OR over walked columns c of translate(bits, c), touching only ``nz``, the nonzero words of bits.
 
     Only those words are swapped, and word i of ``bits`` lands in word
     i ^ (c >> 6) of the accumulator. For one column these targets are
     distinct, so a plain gather, OR and scatter is exact.
     """
-    acc.fill(0)
-    nz = np.flatnonzero(bits)
+    np.copyto(acc, bits)
     vals = bits[nz]
     target = np.empty_like(nz)
     gathered = np.empty_like(vals)
@@ -375,7 +385,7 @@ def _pull(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, tm
     np.invert(reached, out=acc)
     for start in range(0, len(acc), _CHUNK):
         part = acc[start: start + _CHUNK]
-        idx = np.flatnonzero(part)
+        idx = np.flatnonzero(part != 0)  # 3-4x faster on a bool mask than on the uint64 words
         pend = part[idx]
         idx += start
         low = 0
@@ -387,7 +397,7 @@ def _pull(steps: list[tuple[int, int]], reached: np.ndarray, acc: np.ndarray, tm
             hit = np.take(reached, idx ^ high)
             hit &= pend
             pend ^= hit
-            keep = np.flatnonzero(pend)
+            keep = np.flatnonzero(pend != 0)
             idx, pend = idx[keep], pend[keep]
         else:
             _swap_bits(pend, low, tmp)
@@ -402,18 +412,20 @@ def _sparse_words(steps: list[tuple[int, int]], words: int, workers: int) -> int
     ``workers`` threads; the sparse path adds a gather, an OR and a scatter
     per column on each nonzero word, 24 half passes of ``_step_cost``.
     """
-    # Sparse vs dense on the same strata (2-core Xeon, numpy 2.4, medians of
-    # 2-3 calls): [31,6] at jobs 1, whose walk is 14 ORs and no moves, w5
-    # (2.9% of the words nonzero) 5.1-5.4 vs 7.7 ms, w6 (13%) 15-16 vs 6-7 ms
-    # and w7 (43%) 37 vs 7.6 ms; [63,39] w4 (11%) 18-23 vs 50-56 ms at jobs 1
-    # and 21 vs 30 ms at jobs 2; [63,36] w5 (19%) 284-319 vs 235-277 ms at
-    # jobs 1 and 297-351 vs 200-218 ms at jobs 2. With the half pass set by
-    # the dense times, the sparse times fit 22-23 half passes per column and
-    # nonzero word on [31,6] w7, 26 on [63,39] w4 and 45 on [63,36] w5, whose
-    # gathers and scatters span a 16 MiB accumulator. At 24 the cut falls at
-    # 8% of the words for [31,6] at jobs 1, 30% and 15% for [63,39] at jobs 1
-    # and 2, and 29% and 14% for [63,36]: every stratum timed takes the faster
-    # path but [63,36] w5 at jobs 1, which stays sparse as before.
+    # Sparse vs dense on the same strata, each with the scan that picks its
+    # path (2-core Xeon, numpy 2.4, medians of two runs of 5-20 alternating
+    # calls): [31,6] at jobs 1, whose walk is 14 ORs and no moves, w5 (2.9% of
+    # the words nonzero) 2.2-2.4 vs 4.3-4.6 ms, w6 (13%) 8.7-8.8 vs 4.9-5.0 ms
+    # and w7 (43%) 18-21 vs 4.4-6.1 ms; [63,39] w4 (11%) 11 vs 25-26 ms at jobs
+    # 1 and 11-13 vs 16-24 ms at jobs 2; [63,36] w5 (19%) 217-218 vs 199-210 ms
+    # at jobs 1 and 196-209 vs 125-134 ms at jobs 2. With the half pass set by
+    # the dense times, the sparse times fit 16-18 half passes per column and
+    # nonzero word on [31,6] w7, 26-27 on [63,39] w4 and 38-40 on [63,36] w5,
+    # whose gathers and scatters span a 16 MiB accumulator (all at jobs 1). At
+    # 24 the cut falls at 8% of the words for [31,6] at jobs 1, 30% and 15% for
+    # [63,39] at jobs 1 and 2, and 29% and 14% for [63,36]: every stratum timed
+    # takes the faster path but [63,36] w5 at jobs 1, which stays sparse as
+    # before.
     costs = [_step_cost(low, d | high << 6) for low, (d, high) in zip([0] + [d for d, _ in steps], steps)]
     ors, moves = map(sum, zip(*costs))
     return words * (ors + moves) // (workers * (moves + 24 * len(steps)))
@@ -553,16 +565,17 @@ def covering_radius(
             if w >= weight_cap:  # also a resumed checkpoint already past the cap
                 raise WeightCapExceeded(weight_cap, tuple(counts[: weight_cap + 1]), total)
             start = perf_counter()
-            # Each path fills acc so that its bits outside reached are the next
-            # stratum, less its seeds. The pull costs a gather and a delta swap
-            # per pending word and column tried. A word that will be reached
-            # drops out after a few columns, but a word holding a syndrome of
-            # leader weight above the new stratum's tries every column, so the
-            # pull pays off only near the end of the search, where little is
-            # left and the last stratum is large. Both paths timed on the same
-            # strata with the walked columns alone (2-core Xeon, numpy 2.4,
-            # jobs 1, two runs of 3-5 calls each, dense vs pull, U unreached
-            # syndromes and F = counts[-1] in the last stratum before stratum w):
+            # The sparse and dense paths fill acc with reached | translates, the
+            # pull with the next stratum alone, less its seeds. The pull costs a
+            # gather and a delta swap per pending word and column tried. A word
+            # that will be reached drops out after a few columns, but a word
+            # holding a syndrome of leader weight above the new stratum's tries
+            # every column, so the pull pays off only near the end of the
+            # search, where little is left and the last stratum is large. Both
+            # paths timed on the same strata with the walked columns alone
+            # (2-core Xeon, numpy 2.4, jobs 1, two runs of 3-5 calls each, dense
+            # vs pull, U unreached syndromes and F = counts[-1] in the last
+            # stratum before stratum w):
             #   pulled, 2U <= F: [63,45] w=5 (U/F 0.37) 1.6 vs 0.45 ms, [31,6]
             #   w=11 (0.052) 40 vs 11 ms, [63,39] w=7 (0.015) 53-56 vs 5.2-5.6
             #   ms, [63,36] w=8 (0.0043) 466-506 vs 28-34 ms, [63,36] w=9
@@ -573,14 +586,17 @@ def covering_radius(
             # So the crossover lies between U/F 0.37 and 1.30 at n = 63 and
             # below 0.61 at n = 31; every pulled stratum ran at least 3.5x
             # faster than dense, and every kept one faster dense than pulled.
-            # Those walks had in-word moves; on its move-free walk [31,6] w=11 takes
-            # 3.8 ms dense, 4.9 pulled (medians of 30 alternating calls, one reached).
+            # Those walks had in-word moves; [31,6]'s has none, and its w=11
+            # takes 2.7-3.3 ms pulled, 4.2-4.8 ms dense (medians of two runs of
+            # 30 alternating calls on one reached, the pull faster in 59 of 60)
+            # since the pull scans bool masks.
             if 2 * (total - seen) <= counts[-1]:
                 path = "pull"
                 _pull(steps, reached, acc, tmps[0])
-            elif np.count_nonzero(reached) <= sparse_words:
+                acc |= reached
+            elif np.count_nonzero(nonzero := reached != 0) <= sparse_words:
                 path = "sparse"
-                _translate_or_sparse(steps, reached, acc, tmps[0])
+                _translate_or_sparse(steps, reached, np.flatnonzero(nonzero), acc, tmps[0])
             else:
                 path = "dense"
                 runs = (range(blocks * j // workers, blocks * (j + 1) // workers) for j in range(workers))
@@ -588,7 +604,6 @@ def covering_radius(
                     lambda run, tmp: _dense_blocks(steps, reached, acc, block, run, tmp), runs, tmps))
             if w + 1 < len(seeds):  # after the pull has cleared its misses, which would clear a seed too
                 _set_bits(acc, seeds[w + 1])
-            acc |= reached  # the pull returns the stratum alone, and at w = 0 no translate holds 0
             w += 1
             count = int(np.bitwise_count(acc).sum()) - seen
             if count == 0:

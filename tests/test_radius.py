@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from bchcover.bch import build_bch
+from bchcover.bch import build_bch, generator_polynomial, multiplicative_order_of_two
 from bchcover.bounds import classify
 from bchcover.linear_code import LinearCode, Word, from_generator_poly
 from bchcover import radius
@@ -383,6 +383,63 @@ def test_last_stratum_of_bch31_6_is_pulled():
     assert events[-1].count == 427924
 
 
+def _bitset(syndromes: np.ndarray) -> np.ndarray:
+    """A bool array over the syndromes as the engine's uint64 words (syndrome s is bit s % 64 of word s // 64)."""
+    padded = np.zeros(-(-len(syndromes) // 64) * 64, dtype=bool)
+    padded[: len(syndromes)] = syndromes
+    return np.packbits(padded, bitorder="little").view("<u8").astype(np.uint64)
+
+
+@pytest.mark.parametrize("code,chunk", [
+    pytest.param(_pull_case(), None, id="pull20-6-one-block"),
+    pytest.param(_pull_case(), 16, id="pull20-6-blocks-of-16"),
+    pytest.param(random_code(random.Random(7), 12, 6), None, id="random12-6-one-word"),
+])
+def test_each_path_returns_its_translates_on_every_stratum(monkeypatch, code, chunk):
+    # The stratum loop ORs reached in after a pull only: the sparse and dense
+    # paths return reached | translates, the pull the next stratum alone less
+    # the seeds that no translate hits. Chunks of 16 cut the 256 words of
+    # pull20-6 into 16 dense blocks, and the sparse values and pending sets
+    # into chunks. random12-6 is one word, and its walk starts with a column
+    # that has low bits, so a dense block starts by moving reached's bits.
+    if chunk is not None:
+        monkeypatch.setattr(radius, "_CHUNK", chunk)
+    leaders = _brute_force_leaders(code)
+    steps, seeds = radius._column_walk(code)
+    seed_sets = radius._seed_syndromes(seeds)
+    syndromes = np.arange(len(leaders))
+    words = max(len(leaders) // 64, 1)
+    block = min(radius._CHUNK, words)
+    assert (words // block > 1) == (chunk is not None)
+    assert (words == 1) == (steps[0][0] != 0)
+    tmp = np.empty(block, dtype=np.uint64)
+    for w in range(int(leaders.max())):
+        reached = leaders <= w
+        translates = np.zeros_like(reached)
+        for d, high in steps:
+            translates |= reached[syndromes ^ (d | high << 6)]
+        reached_bits = _bitset(reached)
+        results = {}
+        for path in ("sparse", "dense", "pull"):
+            acc = np.full(words, 0x5A5A5A5A5A5A5A5A, dtype=np.uint64)  # every path overwrites acc
+            if path == "sparse":
+                radius._translate_or_sparse(steps, reached_bits, np.flatnonzero(reached_bits), acc, tmp)
+            elif path == "dense":
+                radius._dense_blocks(steps, reached_bits, acc, block, range(words // block), tmp)
+            else:
+                radius._pull(steps, reached_bits, acc, tmp)
+            results[path] = acc
+        assert np.array_equal(results["sparse"], _bitset(reached | translates)), w
+        assert np.array_equal(results["dense"], _bitset(reached | translates)), w
+        assert np.array_equal(results["pull"], _bitset(translates & ~reached)), w
+        # the seeds P_{w+1} fill in what the pull leaves of stratum w + 1
+        missed = (leaders == w + 1) & ~translates
+        seeded = np.zeros_like(reached)
+        if w + 1 < len(seed_sets):
+            seeded[seed_sets[w + 1]] = True
+        assert not (missed & ~seeded).any(), w
+
+
 def _bits_moved(x: np.ndarray, d: int) -> np.ndarray:
     """Every word of x with bit p moved to bit p ^ d, one bit at a time."""
     out = np.zeros_like(x)
@@ -445,6 +502,49 @@ def test_column_walk_covers_every_column_once(code, seeded):
         # [31,6] seeds its 6 general columns and the unit columns on bits 0-10, so
         # every one of its 14 walked columns only flips words
         assert len(steps) == 14 and all(d == 0 for d, _ in steps)
+
+
+def _full_recompute_column_walk(code: LinearCode) -> tuple[list[tuple[int, int]], list[int]]:
+    """``radius._column_walk`` with every saving recomputed before each pop: the oracle of its seed choice."""
+    cols = sorted(code.syndrome_columns, key=lambda c: (radius._gray_rank((c & 7) << 3 | (c >> 3) & 7), c))
+
+    def cost(low: int, c: int) -> int:
+        return sum(radius._step_cost(low, c))
+
+    def saving(i: int) -> int:
+        prev = cols[i - 1] if i else 0
+        saved = cost(prev, cols[i])
+        if i + 1 < len(cols):
+            saved += cost(cols[i], cols[i + 1]) - cost(prev, cols[i + 1])
+        return saved
+
+    seeds = [cols.pop(max(range(len(cols)), key=saving)) for _ in range(max(code.n - code.k - 8, 0))]
+    return [(c & 63, c >> 6) for c in cols], seeds
+
+
+def _narrow_sense_bch_cases():
+    """Every distinct narrow-sense BCH code of odd length n <= 127 with n - k <= 32 (76 of
+    them), each built at the smallest delta that gives it; lengths whose ord_n(2) has no
+    field table are left out."""
+    codes = {}
+    for n in range(3, 128, 2):
+        try:
+            multiplicative_order_of_two(n)
+        except ValueError:
+            continue
+        for delta in range(2, n + 1):
+            g = generator_polynomial(n, delta)
+            if g.bit_length() - 1 > 32:  # n - k grows with delta
+                break
+            codes.setdefault((n, g), delta)
+    return [pytest.param(bch_code(n, delta), id=f"bch{n}-{n + 1 - g.bit_length()}") for (n, g), delta in codes.items()]
+
+
+@pytest.mark.parametrize("code", _narrow_sense_bch_cases()
+                         + [pytest.param(_duplicate_column_code(), id="duplicates20-8")])
+def test_column_walk_matches_full_recompute(code):
+    # the same steps and seeds, in the same order
+    assert radius._column_walk(code) == _full_recompute_column_walk(code)
 
 
 def _seed_splits(code: LinearCode) -> list[list[int]]:

@@ -340,6 +340,21 @@ def test_decode_output_pinned_on_31_6(capsys, mode, extra, pin):
     assert run(capsys, *argv) == (0, expected, "")
 
 
+# [31,16]: a lookup table of two rows; this word's ML segment joins 45,638 pairs, past
+# _WEIGH_ALL_MAX, so ML first narrows it; ML and list both find two codewords at distance 4
+DECODE_PIN_WORD_31_16 = "0111000010010000001101000011100"
+
+
+@pytest.mark.parametrize("mode,extra,pin", [
+    ("ml", (), "decode_n31_delta7_ml.txt"),
+    ("list", ("--tau", "4"), "decode_n31_delta7_list_tau4.txt"),
+])
+def test_decode_output_pinned_on_31_16(capsys, mode, extra, pin):
+    expected = (EXPECTED / pin).read_text()
+    argv = ("decode", "--n", "31", "--delta", "7", "--word", DECODE_PIN_WORD_31_16, "--mode", mode, *extra)
+    assert run(capsys, *argv) == (0, expected, "")
+
+
 # [63,45]: a weight-5 leader of the deepest syndrome, decoded by the scan (n > 40)
 DEEP_HOLE_63_45 = "000000000000000000000000000000000000000000000111011000000000000"
 

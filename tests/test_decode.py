@@ -9,7 +9,7 @@ from bchcover import decode
 from bchcover.bch import build_bch
 from bchcover.bounds import johnson_binary_floor
 from bchcover.decode import _split_index, list_decode, ml_decode
-from bchcover.linear_code import LinearCode, Word, _rref
+from bchcover.linear_code import LinearCode, Word, _rref, _xor_rows
 from bchcover.manifest import TABLE1
 from bchcover.radius import covering_radius
 
@@ -220,6 +220,8 @@ def test_split_index_invariants():
     # lookup-side kernel dimension nr - rho and rho per code: 0, 1 and 4 all
     # occur, and bch31-6 has rho = 16 < n - k = 25
     expected = {(31, 15): (0, 16), (31, 7): (1, 15), (15, 3): (4, 4)}
+    shift = decode._WEIGHT_SHIFT
+    field = np.uint64((1 << shift) - 1)
     codes = [bch_code(row.n, row.delta) for row in TABLE1 if row.n <= 31]
     codes.append(random_code(random.Random(808), 21, 12))
     seen = {}
@@ -233,32 +235,37 @@ def test_split_index_invariants():
                   for j in range(code.n - code.k)]
         assert all((g & h).bit_count() % 2 == 0 for g in code.generator_rows for h in h_rows)
         assert len(_rref(h_rows, code.n)[1]) == code.n - code.k
-        # every lookup mask once, 2^(nr - rho) of them in the column of each syndrome
+        # every lookup mask once, 2^(nr - rho) of them in the column of each syndrome, each
+        # entry packing its mask below _WEIGHT_SHIFT and the mask's weight from it up
         assert index.lookup.shape == (1 << (nr - rho), 1 << rho)
-        assert np.array_equal(np.sort(index.lookup, axis=None), np.arange(1 << nr, dtype=np.uint64))
-        lookup_synd = span_table(index.columns[:nr])[index.lookup]
+        lookup_mask, lookup_weight = index.lookup & field, index.lookup >> shift
+        assert np.array_equal(np.sort(lookup_mask, axis=None), np.arange(1 << nr, dtype=np.uint64))
+        lookup_synd = span_table(index.columns[:nr])[lookup_mask]
         assert np.array_equal(lookup_synd, np.broadcast_to(np.arange(1 << rho), lookup_synd.shape))
-        assert np.array_equal(index.lookup_weight, np.bitwise_count(index.lookup))
-        assert np.array_equal(index.lightest, index.lookup_weight.min(axis=0))
+        assert np.array_equal(lookup_weight, np.bitwise_count(lookup_mask))
+        assert index.lightest.dtype == np.uint8
+        assert np.array_equal(index.lightest, lookup_weight.min(axis=0))
         # the rows of H' past rho have unit-vector pivot columns on the needle side
         assert all((1 << j) in index.columns[nr:] for j in range(rho, code.n - code.k))
         # needle side: every mask once, in 2^(n-k-rho) groups of equal size; group g holds
         # the parts whose H'-syndrome >> rho is g, with their H'-syndromes mod 2^rho, by
-        # weight; upto[g, w] bounds the parts of weight <= w
-        needle = index.needle_mask >> np.uint64(nr)
+        # weight; upto[g][w] bounds the parts of weight <= w
+        needle_mask, needle_weight = index.needle & field, index.needle >> shift
+        needle = needle_mask >> np.uint64(nr)
+        assert np.array_equal(needle << np.uint64(nr), needle_mask)
         assert np.array_equal(np.sort(needle), np.arange(1 << index.nl, dtype=np.uint64))
-        assert np.array_equal(index.needle_weight, np.bitwise_count(needle))
+        assert np.array_equal(needle_weight, np.bitwise_count(needle))
         groups = 1 << (code.n - code.k - rho)
         assert index.group_size * groups == 1 << index.nl
-        assert index.upto.shape == (groups, index.nl + 1)
+        assert len(index.upto) == groups and all(len(row) == index.nl + 1 for row in index.upto)
         synd = span_table(index.columns[nr:])[needle]
         group_of = np.repeat(np.arange(groups, dtype=np.uint64), index.group_size)
         assert np.array_equal(synd >> np.uint64(rho), group_of)
         assert np.array_equal(synd & np.uint64((1 << rho) - 1), index.needle_col.astype(np.uint64))
         for g in range(groups):
-            weight = index.needle_weight[g * index.group_size: (g + 1) * index.group_size]
+            weight = needle_weight[g * index.group_size: (g + 1) * index.group_size]
             assert np.all(np.diff(weight.astype(int)) >= 0)
-            assert np.array_equal(index.upto[g], [np.count_nonzero(weight <= w) for w in range(index.nl + 1)])
+            assert index.upto[g] == [np.count_nonzero(weight <= w) for w in range(index.nl + 1)]
     for key, value in expected.items():
         assert seen[key] == value
     assert {kernel for kernel, _ in seen.values()} >= {0, 1, 4}
@@ -294,7 +301,7 @@ def test_split_ml_and_list_on_every_word_of_15_5():
     # [15,5]: rho = 8 < n - k = 10, so the needle side has 4 groups of 32 parts
     code = bch_code(15, 7)
     index = _split_index(code)
-    assert (index.rho, index.upto.shape[0], index.group_size) == (8, 4, 32)
+    assert (index.rho, len(index.upto), index.group_size) == (8, 4, 32)
     cw = codeword_table(code, max_k=code.k)
     for bits in range(1 << code.n):
         dist = np.bitwise_count(cw ^ np.uint64(bits))
@@ -329,6 +336,81 @@ def test_split_ml_narrowing_matches_brute_force(monkeypatch, weigh_all_max):
                     assert result.entries == ()
                 else:
                     assert {w.bits for w, _ in result.entries} == set(cw[dist == nearest].tolist())
+
+
+@pytest.mark.parametrize("parts_per_block", [1, 3])
+@pytest.mark.parametrize("weigh_all_max", [0, 1 << 40])
+def test_split_joins_in_blocks_match_brute_force(monkeypatch, weigh_all_max, parts_per_block):
+    # join matrices of one or three needle parts each: list decoding gathers the patterns of
+    # every block, and ML meets blocks of lighter joins after heavier ones
+    monkeypatch.setattr(decode, "_WEIGH_ALL_MAX", weigh_all_max)
+    rng = random.Random(2129)
+    for code, words in ((bch_code(15, 3), 20), (bch_code(15, 7), 20), (random_code(rng, 20, 12), 20),
+                        (bch_code(31, 7), 3)):
+        monkeypatch.setattr(decode, "_JOIN_BLOCK_PAIRS", len(_split_index(code).lookup) * parts_per_block)
+        cw = codeword_table(code, max_k=code.k)
+        for _ in range(words):
+            bits = rng.getrandbits(code.n)
+            v = Word(bits, code.n)
+            dist = np.bitwise_count(cw ^ np.uint64(bits))
+            nearest = int(dist.min())
+            for cap in sorted({max(nearest - 1, 0), nearest, code.n}):
+                result = ml_decode(code, v, weight_cap=cap, strategy="split")
+                expected = set(cw[dist == nearest].tolist()) if cap >= nearest else set()
+                assert result.radius_used == min(cap, nearest)
+                assert {w.bits for w, _ in result.entries} == expected
+            for tau in range(min(code.n, 5) + 1):
+                keep = dist <= tau
+                result = list_decode(code, v, tau, strategy="split")
+                assert {w.bits: d for w, d in result.entries} == dict(zip(cw[keep].tolist(), dist[keep].tolist()))
+
+
+def test_split_at_the_packing_limit():
+    # an index entry holds its mask below bit _WEIGHT_SHIFT and its weight in the 6 bits from it:
+    # masks of n <= _SPLIT_MAX_N = 40 bits fit below, and so does the largest weight a join
+    # compares with, tau + 1 = 2 * 20 + 1
+    assert decode._SPLIT_MAX_N <= decode._WEIGHT_SHIFT
+    assert 2 * 20 + 1 < 1 << (64 - decode._WEIGHT_SHIFT)
+    rng = random.Random(4016)
+    code = random_code(rng, decode._SPLIT_MAX_N, 16)
+    n = code.n
+    cw = codeword_table(code)
+    words = [rng.getrandbits(n) for _ in range(24)]
+    words += [int(cw[rng.randrange(len(cw))]) ^ sum(1 << p for p in rng.sample(range(n), w)) for w in range(8)]
+    for bits in words:
+        dist = np.bitwise_count(cw ^ np.uint64(bits))
+        nearest = int(dist.min())
+        result = ml_decode(code, Word(bits, n))  # weight cap n
+        assert result.radius_used == nearest
+        assert {w.bits: d for w, d in result.entries} == dict.fromkeys(cw[dist == nearest].tolist(), nearest)
+        tau = nearest + 2
+        keep = dist <= tau
+        result = list_decode(code, Word(bits, n), tau)
+        assert {w.bits: d for w, d in result.entries} == dict(zip(cw[keep].tolist(), dist[keep].tolist()))
+    # a list query joins at most its whole group with every lookup mask, 2^k pairs, so with k = 16
+    # the largest tau under _SPLIT_MAX_PAIRS is n: every codeword comes back, with its distance
+    index = _split_index(code)
+    for bits in words[:2]:
+        s = index.syndrome(bits)
+        fits = [tau for tau in range(n + 1)
+                if len(index._segment(s, tau)[1]) * len(index.lookup) <= decode._SPLIT_MAX_PAIRS]
+        assert max(fits) == n
+        dist = np.bitwise_count(cw ^ np.uint64(bits))
+        result = list_decode(code, Word(bits, n), n)
+        assert len(result.entries) == 1 << code.k
+        assert {w.bits: d for w, d in result.entries} == dict(zip(cw.tolist(), dist.tolist()))
+
+
+@pytest.mark.parametrize("n,delta", [(7, 3), (17, 3), (23, 5), (31, 11), (40, None)])
+def test_split_syndrome_from_byte_tables(n, delta):
+    # one table read per byte of the word; the last byte is partial below n = 40
+    rng = random.Random(800 + n)
+    code = bch_code(n, delta) if delta else random_code(rng, n, 16)
+    index = _split_index(code)
+    assert len(index.byte_syndromes) == -(-n // 8)
+    words = [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(200)] + [(1 << n) - 1]
+    for bits in words:
+        assert index.syndrome(bits) == _xor_rows(index.columns, bits)
 
 
 # ---------------------------------------------------------------------------

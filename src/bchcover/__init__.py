@@ -1,7 +1,6 @@
 """Binary BCH codes, exact covering radii, Johnson/Wu bounds, and decoding."""
 
 from .bch import (
-    BchSpec,
     build_bch,
     generator_polynomial,
     multiplicative_order_of_two,
@@ -24,7 +23,6 @@ from .radius import RadiusResult, StratumEvent, WeightCapExceeded, covering_radi
 __version__ = "0.1.0"
 
 __all__ = [
-    "BchSpec",
     "CoverageReport",
     "DecodeResult",
     "FieldContext",

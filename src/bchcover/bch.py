@@ -9,25 +9,15 @@ of the same construction.
 
 ``multiplicative_order_of_two`` gives m and refuses m > 16, past the field
 tables; ``generator_polynomial`` multiplies out the |Z| linear factors in
-GF(2^m); ``build_bch`` returns the code with its ``BchSpec``.
+GF(2^m); ``build_bch`` returns the code with m, the one number of its
+construction that the code does not hold (n and delta are ``code.n`` and
+``code.designed_distance``, and beta = alpha^((2^m - 1)/n)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2m import MAX_DEGREE, make_field
 from .linear_code import LinearCode, from_generator_poly
-
-
-@dataclass(frozen=True)
-class BchSpec:
-    """Defining data of a narrow-sense BCH code of length n."""
-
-    n: int
-    m: int              # ord_n(2), the extension degree used
-    delta: int          # designed distance
-    beta_log: int       # log_alpha(beta) = (2^m - 1) / n
 
 
 def multiplicative_order_of_two(n: int) -> int:
@@ -68,14 +58,12 @@ def generator_polynomial(n: int, delta: int) -> int:
     return sum(c << i for i, c in enumerate(coeffs))
 
 
-def build_bch(n: int, delta: int) -> tuple[LinearCode, BchSpec]:
-    """Construct the narrow-sense BCH code of length n and designed distance delta.
+def build_bch(n: int, delta: int) -> tuple[LinearCode, int]:
+    """The narrow-sense BCH code of length n and designed distance delta, and m = ord_n(2).
 
     Only builds: the code carries delta as its designed distance, and the
     minimum distance is left to ``LinearCode.min_distance``, computed by
-    whoever reads it.
+    whoever reads it. The code lives in GF(2^m), ``make_field(m)``.
     """
     g = generator_polynomial(n, delta)
-    m = multiplicative_order_of_two(n)
-    spec = BchSpec(n=n, m=m, delta=delta, beta_log=((1 << m) - 1) // n)
-    return from_generator_poly(g, n, designed_distance=delta), spec
+    return from_generator_poly(g, n, designed_distance=delta), multiplicative_order_of_two(n)

@@ -87,13 +87,6 @@ class FieldContext:
         """alpha^i for any integer exponent i."""
         return self.exp_table[i % (self.order - 1)]
 
-    def eval_poly(self, p: int, x: int) -> int:
-        """Evaluate the GF(2) polynomial p (an int) at a field element x, by Horner."""
-        acc = 0
-        for i in range(p.bit_length() - 1, -1, -1):
-            acc = self.mul(acc, x) ^ ((p >> i) & 1)
-        return acc
-
     def __repr__(self) -> str:
         return f"FieldContext(GF(2^{self.m}), modulus={self.primitive_poly:#b})"
 

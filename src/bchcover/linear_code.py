@@ -26,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-CODEWORD_BUDGET = 1 << 26  # min_distance is exact when 2^k fits it
+CODEWORD_BUDGET = 1 << 26  # min_distance is exact when 2^k fits it and n <= 64
 _SPAN_BLOCK_BITS = 20      # _span_weights enumerates blocks of 2^20 words
 
 Exactness = Literal["exact", "lower_bound"]
@@ -147,15 +147,15 @@ class LinearCode:
         return _xor_rows(self.generator_rows, message)
 
     def min_distance(self) -> tuple[int, Exactness]:
-        """Exact minimum weight when 2^k fits ``CODEWORD_BUDGET``, else a lower bound.
+        """Exact minimum weight when n <= 64 and 2^k fits ``CODEWORD_BUDGET``, else a lower bound.
 
         The exact value is the least i >= 1 with A_i > 0 in
         ``weight_distribution`` (n + 1 for the empty code), which
-        enumerates 2^min(k, n-k) words; the budget, read at call time,
-        still gates on 2^k. Each call computes it afresh. The lower bound
-        is the stored designed distance (1 if none is known).
+        enumerates 2^min(k, n-k) words as uint64; the budget, read at call
+        time, still gates on 2^k. Each call computes it afresh. The lower
+        bound is the stored designed distance (1 if none is known).
         """
-        if (1 << self.k) <= CODEWORD_BUDGET:
+        if self.n <= 64 and (1 << self.k) <= CODEWORD_BUDGET:
             weights = weight_distribution(self)
             return next((i for i in range(1, self.n + 1) if weights[i]), self.n + 1), "exact"
         return self.designed_distance or 1, "lower_bound"

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from bchcover import LinearCode, RadiusResult, Word, build_bch, covering_radius, linear_code
+from bchcover import FieldContext, LinearCode, RadiusResult, Word, build_bch, covering_radius, linear_code
 
 # The brute-force oracles below share no code with the engines they check:
 # the weight distribution, the split decoding index and the radius search.
@@ -115,6 +115,17 @@ def word_with_syndrome(code: LinearCode, syndrome: int) -> Word:
             s, bits = s ^ bv, bits ^ bword
     assert s == 0 and code.syndrome_int(bits) == syndrome
     return Word(bits, code.n)
+
+
+def eval_poly(ctx: FieldContext, p: int, x: int) -> int:
+    """The GF(2) polynomial p (an int, bit i the coefficient of x^i) at the field element x, by Horner.
+
+    The roots oracle: a root of g is an x with eval_poly(ctx, g, x) == 0.
+    """
+    acc = 0
+    for i in range(p.bit_length() - 1, -1, -1):
+        acc = ctx.mul(acc, x) ^ ((p >> i) & 1)
+    return acc
 
 
 def ref_mod(a: int, b: int) -> int:

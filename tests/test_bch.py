@@ -6,7 +6,7 @@ from bchcover.bch import build_bch, generator_polynomial, multiplicative_order_o
 from bchcover.gf2m import make_field
 from bchcover.manifest import TABLE1
 
-from conftest import bch_code, ref_mod
+from conftest import bch_code, eval_poly, ref_mod
 
 
 def roots_of_generator(n: int, delta: int) -> set[int]:
@@ -14,7 +14,7 @@ def roots_of_generator(n: int, delta: int) -> set[int]:
     g = generator_polynomial(n, delta)
     ctx = make_field(multiplicative_order_of_two(n))
     step = (ctx.order - 1) // n
-    return {j for j in range(n) if ctx.eval_poly(g, ctx.alpha_power(step * j)) == 0}
+    return {j for j in range(n) if eval_poly(ctx, g, ctx.alpha_power(step * j)) == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +101,19 @@ def test_designed_roots_are_roots(n, delta):
 
 @pytest.mark.parametrize("row", TABLE1, ids=lambda r: f"n{r.n}-delta{r.delta}")
 def test_dimensions_match_reference(row):
-    code, spec = build_bch(row.n, row.delta)
+    code, m = build_bch(row.n, row.delta)
     assert (code.n, code.k) == (row.n, row.k)
-    assert spec.m == multiplicative_order_of_two(row.n)
-    assert spec.delta == row.delta
+    assert m == multiplicative_order_of_two(row.n)
+    assert code.designed_distance == row.delta
 
 
 def test_beta_has_order_n():
-    _, spec = build_bch(17, 3)
-    ctx = make_field(spec.m)
-    powers = {ctx.alpha_power(spec.beta_log * e) for e in range(17)}  # beta^e
+    _, m = build_bch(17, 3)
+    ctx = make_field(m)
+    beta_log = (ctx.order - 1) // 17
+    powers = {ctx.alpha_power(beta_log * e) for e in range(17)}  # beta^e
     assert len(powers) == 17
-    assert ctx.alpha_power(spec.beta_log * 17) == 1
+    assert ctx.alpha_power(beta_log * 17) == 1
 
 
 @pytest.mark.parametrize(
@@ -126,8 +127,8 @@ def test_known_codes(n, delta, k, d):
 
 
 def test_true_distance_exceeds_designed_for_17():
-    code, spec = build_bch(17, 3)
-    assert spec.delta == 3
+    code, _ = build_bch(17, 3)
+    assert code.designed_distance == 3
     assert code.min_distance() == (5, "exact")
 
 
@@ -142,6 +143,15 @@ def test_bch_bound(n, delta):
 def test_designed_distance_kept_as_lower_bound():
     code, _ = build_bch(63, 5)
     assert code.min_distance() == (5, "lower_bound")
+
+
+def test_designed_distance_kept_past_64_bit_words(span_weight_calls):
+    # [127,15]: 2^15 codewords fit the budget, but the weight distribution
+    # enumerates uint64 words, so d stays the designed distance
+    code, _ = build_bch(127, 55)
+    assert code.k == 15
+    assert code.min_distance() == (55, "lower_bound")
+    assert span_weight_calls == []
 
 
 def test_build_computes_no_distance(span_weight_calls):

@@ -7,7 +7,7 @@ import pytest
 
 from bchcover import decode
 from bchcover.bch import build_bch
-from bchcover.bounds import johnson_binary_floor
+from bchcover.bounds import classify, johnson_binary_floor
 from bchcover.decode import _split_index, list_decode, ml_decode
 from bchcover.linear_code import LinearCode, Word, _rref, _xor_rows
 from bchcover.manifest import TABLE1
@@ -594,6 +594,47 @@ def test_ml_termination_within_binary_johnson_on_covered_codes():
         for _ in range(200):
             v = Word(rng.randrange(1 << n), n)
             assert ml_decode(code, v).radius_used <= tau_b
+
+
+# ---------------------------------------------------------------------------
+# the A-covered flag, witnessed both ways: covered means R <= tau_binary, so
+# list decoding at tau_binary finds every ML answer; an uncovered row has a
+# word, its deep hole, that the list at tau_binary misses
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("row", [row for row in TABLE1 if row.covering_radius <= row.tau_binary],
+                         ids=lambda row: f"{row.n}-{row.k}")
+def test_a_covered_rows_list_at_tau_binary_holds_the_ml_answer(row):
+    code = bch_code(row.n, row.delta)
+    report = classify(code, radius_result(row.n, row.delta))
+    assert report.is_a_covered and report.tau_binary == row.tau_binary
+    rng = random.Random(row.n * 64 + row.k)
+    for i in range(20):
+        if i % 2:  # a codeword plus at most R errors
+            bits = code.codeword_int(rng.getrandbits(code.k))
+            for j in rng.sample(range(row.n), rng.randint(0, row.covering_radius)):
+                bits ^= 1 << j
+        else:  # uniform
+            bits = rng.getrandbits(row.n)
+        v = Word(bits, row.n)
+        listed = list_decode(code, v, row.tau_binary).entries
+        assert listed
+        nearest = tuple(entry for entry in listed if entry[1] == listed[0][1])
+        assert ml_decode(code, v).entries == nearest
+
+
+# [63,39] and [63,36] are left out: ML at R = 7 and 9 is past the scan's limit
+@pytest.mark.parametrize("row", [row for row in TABLE1 if row.covering_radius > row.tau_binary and not row.long_running],
+                         ids=lambda row: f"{row.n}-{row.k}")
+def test_uncovered_rows_deep_hole_escapes_the_list_at_tau_binary(row):
+    code = bch_code(row.n, row.delta)
+    result = radius_result(row.n, row.delta)
+    report = classify(code, result)
+    assert not report.is_a_covered and report.tau_binary == row.tau_binary
+    v = word_with_syndrome(code, result.deepest_syndrome.bits)
+    assert list_decode(code, v, row.tau_binary).entries == ()
+    ml = ml_decode(code, v)
+    assert ml.radius_used == row.covering_radius and ml.entries
 
 
 # ---------------------------------------------------------------------------

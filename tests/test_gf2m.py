@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from bchcover.gf2m import MAX_DEGREE, MIN_DEGREE, PRIMITIVE_POLYS, make_field
 from bchcover.linear_code import from_generator_poly
 
-from conftest import ref_mod
+from conftest import eval_poly, ref_mod
 
 # ---------------------------------------------------------------------------
 # independent GF(2)[x] arithmetic for cross-checking (ints, bit i = coeff x^i)
@@ -187,10 +187,10 @@ def test_element_orders(m):
 
 def test_poly_eval_root_of_modulus():
     ctx = make_field(4)
-    assert ctx.eval_poly(0b10011, ctx.alpha_power(1)) == 0
-    assert ctx.eval_poly(0b11, 1) == 0      # x + 1 at 1
-    assert ctx.eval_poly(0b1, 0) == 1       # constant 1
-    assert ctx.eval_poly(0, ctx.alpha_power(3)) == 0  # the zero polynomial
+    assert eval_poly(ctx, 0b10011, ctx.alpha_power(1)) == 0
+    assert eval_poly(ctx, 0b11, 1) == 0      # x + 1 at 1
+    assert eval_poly(ctx, 0b1, 0) == 1       # constant 1
+    assert eval_poly(ctx, 0, ctx.alpha_power(3)) == 0  # the zero polynomial
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,12 @@ threads, so every stratum, and hence the output, is bit-identical for any
 worker count.
 
 A checkpoint file, if requested, is rewritten after each stratum that
-leaves syndromes unreached, through ``<path>.tmp`` and an atomic rename. It
-is one flat file (format version 4): the header line ``bchcover-radius 4
+leaves syndromes unreached, through ``<path>.tmp`` and an atomic rename.
+One writer thread, beside the ``jobs`` search workers, writes the file of
+stratum w while stratum w+1 is searched, and the search waits for it just
+after that stratum, before the buffer it reads is reused; so a write error
+is raised after the next stratum's search, or at the cap. It is one flat
+file (format version 4): the header line ``bchcover-radius 4
 <code key> <weight> <count_0> ... <count_weight>``, the words of ``reached``
 as little-endian uint64 (1/8 byte per syndrome), and the SHA-256 of every
 byte before it. So multi-hour runs can resume, and corrupt, truncated,
@@ -149,7 +153,10 @@ class StratumEvent(NamedTuple):
     or "pull" (see the module docstring). ``seconds`` covers the stratum's
     search, ``checkpoint_seconds`` and ``checkpoint_bytes`` the checkpoint
     written after it (0 and 0 without a checkpoint, and after the last
-    stratum, which is not written).
+    stratum, which is not written). Without a checkpoint an event arrives
+    as soon as its stratum is searched. With one it arrives once its file
+    is on disk: after the next stratum's search ends, or when the search
+    returns or raises. Events arrive in weight order, on the calling thread.
     """
 
     weight: int
@@ -450,9 +457,9 @@ def _code_key(code: LinearCode) -> str:
     return h.hexdigest()
 
 
-def _save_checkpoint(path: str, code: LinearCode, reached: np.ndarray, counts: list[int], w: int) -> int:
-    """Write the checkpoint through ``path + ".tmp"`` and an atomic rename; returns its size in bytes."""
-    head = " ".join(map(str, (_CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, _code_key(code), w, *counts))).encode() + b"\n"
+def _save_checkpoint(path: str, head: bytes, reached: np.ndarray) -> tuple[float, int]:
+    """Write the checkpoint through ``path + ".tmp"`` and an atomic rename; returns (seconds taken, size in bytes)."""
+    start = perf_counter()
     words = reached.astype("<u8", copy=False)  # a view on little-endian hosts
     digest = hashlib.sha256(head)
     digest.update(words)
@@ -460,14 +467,14 @@ def _save_checkpoint(path: str, code: LinearCode, reached: np.ndarray, counts: l
     with open(tmp, "wb") as fh:
         size = sum(fh.write(part) for part in (head, words, digest.digest()))
     os.replace(tmp, path)
-    return size
+    return perf_counter() - start, size
 
 
-def _load_checkpoint(path: str, code: LinearCode, words: int) -> tuple[np.ndarray, list[int], int] | None:
+def _load_checkpoint(path: str, key: str, words: int, total: int) -> tuple[np.ndarray, list[int], int] | None:
     """(reached, counts, weight) from ``path``; None if there is no file.
 
-    Raises ValueError naming the path for any file this search cannot
-    resume from.
+    Raises ValueError naming the path for any file this search, of the code
+    with key ``key`` and ``total`` syndromes, cannot resume from.
     """
     if not os.path.exists(path):
         return None
@@ -486,9 +493,8 @@ def _load_checkpoint(path: str, code: LinearCode, words: int) -> tuple[np.ndarra
     digest.update(reached)
     if stored != digest.digest():
         raise ValueError(f"checkpoint {path} is corrupt, truncated or sized for another code (digest mismatch)")
-    if fields[2:3] != [_code_key(code).encode()]:
+    if fields[2:3] != [key.encode()]:
         raise ValueError(f"checkpoint {path} belongs to a different code")
-    total = 1 << (code.n - code.k)
     try:
         w, *counts = map(int, fields[3:])
         fits = len(counts) == w + 1 > 0 and sum(counts) == int(np.bitwise_count(reached).sum()) < total
@@ -522,10 +528,12 @@ def covering_radius(
     grown sparsely or grown densely, by the two cuts tested in its loop.
     Up to ``jobs`` threads, at most one per dense block of ``_CHUNK``
     words, split the words of each dense stratum; the result does not
-    depend on it. Sparse and pull strata run on the calling thread.
-    ``on_event``, if given, receives a StratumEvent after each stratum this
-    call computes. The code is left unchanged; callers keep the returned
-    result.
+    depend on it. Sparse and pull strata run on the calling thread. With
+    ``checkpoint_path``, one more thread writes each stratum's file while
+    the next stratum is searched; a write error is raised from this call.
+    ``on_event``, if given, receives a StratumEvent for each stratum this
+    call computes (see StratumEvent for when). The code is left unchanged;
+    callers keep the returned result.
     """
     nk = code.n - code.k
     if nk > 32:
@@ -539,7 +547,8 @@ def covering_radius(
     total = 1 << nk
     words = 1 << max(nk - 6, 0)
 
-    resumed = _load_checkpoint(checkpoint_path, code, words) if checkpoint_path else None
+    key = _code_key(code) if checkpoint_path else ""
+    resumed = _load_checkpoint(checkpoint_path, key, words, total) if checkpoint_path else None
     if resumed is not None:
         reached, counts, w = resumed
     else:
@@ -560,9 +569,28 @@ def covering_radius(
     sparse_words = _sparse_words(steps, words, workers)
     acc = np.empty(words, dtype=np.uint64)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # The checkpoint of stratum w is written by one thread while stratum w+1
+    # is searched. No path writes ``reached`` in place, so that search only
+    # reads the buffer being written; at its swap the buffer becomes acc,
+    # which stratum w+2 overwrites, so the write is joined right after the
+    # swap. Its event waits for it, so events still arrive in weight order.
+    writer = ThreadPoolExecutor(max_workers=1) if checkpoint_path else None
+    pending = None  # (future, event) of the write in flight
+
+    def join() -> None:
+        """Wait for the write in flight, if any, and report its stratum; raises the write's error."""
+        nonlocal pending
+        if pending is not None:
+            future, event = pending
+            pending = None
+            seconds, size = future.result()
+            if on_event is not None:
+                on_event(event._replace(checkpoint_seconds=seconds, checkpoint_bytes=size))
+
     try:
         while seen < total:
             if w >= weight_cap:  # also a resumed checkpoint already past the cap
+                join()
                 raise WeightCapExceeded(weight_cap, tuple(counts[: weight_cap + 1]), total)
             start = perf_counter()
             # The sparse and dense paths fill acc with reached | translates, the
@@ -613,24 +641,30 @@ def covering_radius(
             reached, acc = acc, reached  # every path overwrites acc before it reads it
             counts.append(count)
             seen += count
-            searched = perf_counter()
-            saved, size = searched, 0
-            if checkpoint_path and seen < total:
-                size = _save_checkpoint(checkpoint_path, code, reached, counts, w)
-                saved = perf_counter()
-            if on_event is not None:
-                on_event(StratumEvent(
-                    weight=w,
-                    count=count,
-                    cumulative=seen,
-                    path=path,
-                    seconds=searched - start,
-                    checkpoint_seconds=saved - searched,
-                    checkpoint_bytes=size,
-                ))
+            event = StratumEvent(
+                weight=w,
+                count=count,
+                cumulative=seen,
+                path=path,
+                seconds=perf_counter() - start,
+                checkpoint_seconds=0.0,
+                checkpoint_bytes=0,
+            )
+            join()
+            if writer is not None and seen < total:
+                # The header is formatted here: counts grows while the write runs.
+                head = " ".join(map(str, (_CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, key, w, *counts))).encode() + b"\n"
+                pending = writer.submit(_save_checkpoint, checkpoint_path, head, reached), event
+            elif on_event is not None:
+                on_event(event)
     finally:
         if pool is not None:
             pool.shutdown()
+        if writer is not None:
+            try:
+                join()
+            finally:
+                writer.shutdown()
 
     return RadiusResult(
         covering_radius=w,

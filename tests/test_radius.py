@@ -3,7 +3,10 @@ import math
 import os
 import random
 import re
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -971,3 +974,100 @@ def test_checkpoint_written_at_a_sparse_stratum_resumes(tmp_path, jobs):
     assert covering_radius(build_bch(31, 11)[0], jobs=jobs, checkpoint_path=path,
                            on_event=resumed.append) == fresh
     assert resumed[0].weight == 4 and {e.path for e in resumed} == {"sparse", "dense"}
+
+
+# ---------------------------------------------------------------------------
+# checkpoint writes overlapping the next stratum's search
+# ---------------------------------------------------------------------------
+
+def _slow_writer(monkeypatch, written: list[bytes]) -> None:
+    """Make each checkpoint write sleep before it reads the bitset, and record every file it leaves."""
+    save = radius._save_checkpoint
+
+    def slow(path, head, reached):
+        time.sleep(0.02)
+        result = save(path, head, reached)
+        written.append(Path(path).read_bytes())
+        return result
+
+    monkeypatch.setattr(radius, "_save_checkpoint", slow)
+
+
+@pytest.mark.parametrize("n,delta,cap,jobs", [(31, 11, 5, 1), (31, 11, 5, 2), (31, 15, 8, 2)])
+def test_slow_checkpoint_writes_hold_their_own_stratum(monkeypatch, tmp_path, n, delta, cap, jobs):
+    # Each write sleeps while the next strata are searched. A search that reused the
+    # buffer before the write had read it would leave a file holding a later stratum's
+    # bits under an earlier header. [31,6] at jobs 2 runs dense strata on its pool.
+    plain = []
+    for w in range(1, cap + 1):
+        path = str(tmp_path / f"plain{w}.ckpt")
+        with pytest.raises(WeightCapExceeded):
+            covering_radius(build_bch(n, delta)[0], weight_cap=w, checkpoint_path=path)
+        plain.append(Path(path).read_bytes())
+    written = []
+    _slow_writer(monkeypatch, written)
+    path = str(tmp_path / "radius.ckpt")
+    with pytest.raises(WeightCapExceeded):
+        covering_radius(build_bch(n, delta)[0], weight_cap=cap, jobs=jobs, checkpoint_path=path)
+    assert written == plain
+    raw = Path(path).read_bytes()
+    assert raw == plain[-1] and raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+    assert _read_checkpoint(path).weight == cap
+    assert covering_radius(build_bch(n, delta)[0], jobs=jobs, checkpoint_path=path) == radius_result(n, delta)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_checkpoint_write_error_comes_out_of_the_search(monkeypatch, tmp_path, cap, jobs):
+    # The second write fails. Without a cap its error is raised after stratum 3's
+    # search; at cap 2 it is raised in place of WeightCapExceeded.
+    save, heads = radius._save_checkpoint, []
+    error = OSError(28, "No space left on device")
+
+    def failing(path, head, reached):
+        heads.append(head)
+        if len(heads) == 2:
+            raise error
+        return save(path, head, reached)
+
+    monkeypatch.setattr(radius, "_save_checkpoint", failing)
+    path = str(tmp_path / "radius.ckpt")
+    threads = set(threading.enumerate())
+    events = []
+    with pytest.raises(OSError) as info:
+        covering_radius(build_bch(31, 11)[0], weight_cap=cap, jobs=jobs, checkpoint_path=path,
+                        on_event=events.append)
+    assert info.value is error
+    assert set(threading.enumerate()) == threads  # the writer thread was joined
+    assert len(heads) == 2 and [e.weight for e in events] == [1]  # stratum 2's write never reached the disk
+    assert _read_checkpoint(path).weight == 1
+    monkeypatch.undo()
+    assert covering_radius(build_bch(31, 11)[0], checkpoint_path=path) == radius_result(31, 11)
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+def test_checkpoint_events_arrive_once_their_file_is_on_disk(monkeypatch, tmp_path, cap):
+    _slow_writer(monkeypatch, [])
+    path = str(tmp_path / "radius.ckpt")
+    seen = []
+
+    def on_event(e):
+        raw = Path(path).read_bytes()
+        seen.append((e, _read_checkpoint(path).weight, len(raw)))
+
+    code = build_bch(31, 11)[0]
+    if cap is None:
+        last = covering_radius(code, checkpoint_path=path, on_event=on_event).covering_radius
+    else:
+        with pytest.raises(WeightCapExceeded):
+            covering_radius(code, weight_cap=cap, checkpoint_path=path, on_event=on_event)
+        last = cap
+    assert [e.weight for e, _, _ in seen] == list(range(1, last + 1))  # in order, and all before the call ended
+    written = seen if cap else seen[:-1]
+    for e, weight_on_disk, size_on_disk in written:
+        assert (weight_on_disk, size_on_disk) == (e.weight, e.checkpoint_bytes)
+        assert e.checkpoint_seconds > 0
+    assert len({e.checkpoint_bytes for e, _, _ in written}) == len(written)  # headers grow with the counts
+    if cap is None:
+        e, weight_on_disk, _ = seen[-1]
+        assert (e.checkpoint_bytes, e.checkpoint_seconds, weight_on_disk) == (0, 0, last - 1)
